@@ -35,7 +35,7 @@ from .model import (
     prepare_graph,
     propagation_matrices,
 )
-from .preprocess import Standardizer, remove_constant_columns, standardize_apply, standardize_fit
+from .preprocess import Standardizer, remove_constant_columns, standardize_fit
 from .splits import SplitPlan, supervised_split, unsupervised_split
 from .synth import SynthSpec, synth_generate
 from .training import (
@@ -48,7 +48,6 @@ from .training import (
     labels_at_level,
     make_job,
     make_split,
-    mlp_baselines,
     run_protocol,
     evaluate_metrics,
     train,

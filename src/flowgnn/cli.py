@@ -24,7 +24,6 @@ from .errors import FlowDataError, NeuralNetError
 from .graphs import (
     STRUCTURAL_DIM,
     build_flow_graph,
-    combined_features,
     flow_aggregate_features,
     read_graphs_jsonl,
     structural_features,
@@ -34,15 +33,16 @@ from .ingest import FlowDataset, load_dataset, save_dataset
 from .synth import SynthSpec, synth_generate
 from .training import (
     ALL_VARIANTS,
+    CLASSIFIERS,
     DEFAULT_GRIDS,
     ProtocolSpec,
     TrainConfig,
-    feature_matrix,
+    TrainJob,
+    evaluate_metrics,
     grid_search,
-    labels_at_level,
     make_job,
     make_split,
-    evaluate_metrics,
+    task_data,
     train,
 )
 
@@ -143,12 +143,11 @@ def cmd_extract(args) -> int:
     ids = [s.sample_id for s in dataset.samples]
     labels = [s.labels for s in dataset.samples]
     flow_rows = np.vstack([flow_aggregate_features(s) for s in dataset.samples])
-    graph_rows = np.vstack([structural_features(g).values for g in graphs])
-    combined_rows = np.vstack([
-        combined_features(s, g) for s, g in zip(dataset.samples, graphs)
-    ])
+    structural = [structural_features(g) for g in graphs]
+    graph_rows = np.vstack([f.values for f in structural])
+    combined_rows = np.hstack([flow_rows, graph_rows])
     flow_names = graphs[0].feature_names
-    graph_names = structural_features(graphs[0]).names
+    graph_names = structural[0].names
     _write_feature_csv(os.path.join(out_dir, "features_flow.csv"),
                        ids, labels, flow_rows, flow_names)
     _write_feature_csv(os.path.join(out_dir, "features_graph.csv"),
@@ -193,6 +192,19 @@ def _protocol_from_config(config: dict) -> ProtocolSpec:
         raise UsageError(str(exc)) from exc
 
 
+def _load_job(spec: ProtocolSpec, train_config: TrainConfig, data_path, seed: int | None,
+              standardizer=None) -> tuple[list, TrainJob, object]:
+    """Graphs from data_path and their job: split by seed (None: no split,
+    as scoring reads no labels), standardized by the given standardizer or
+    one fit on the split's training rows."""
+    graphs, dataset = _load_graph_data(data_path)
+    raw_features, labels_by_level = task_data(spec, graphs, dataset)
+    split = None if seed is None else make_split(spec, labels_by_level, seed)
+    job, standardizer = make_job(spec, train_config, split, graphs, raw_features,
+                                 labels_by_level, standardizer=standardizer)
+    return graphs, job, standardizer
+
+
 def _train_setup(args):
     config = _load_config(args)
     if "data" not in config:
@@ -205,15 +217,21 @@ def _train_setup(args):
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    graphs, dataset = _load_graph_data(config["data"])
-    labels_by_level = {"binary": labels_at_level(graphs, "binary")}
-    if spec.task in ("category", "family"):
-        labels_by_level[spec.task] = labels_at_level(graphs, spec.task)
-    raw_features = None
-    if spec.variant not in ("clf", "ae", "oc"):
-        raw_features = feature_matrix(graphs, spec.feature_set, dataset)
-    split = make_split(spec, labels_by_level, seed)
-    return config, spec, train_config, seed, graphs, raw_features, labels_by_level, split
+    _, job, standardizer = _load_job(spec, train_config, config["data"], seed)
+    return config, spec, seed, job, standardizer
+
+
+def _load_model(args):
+    """The checkpoint's model, train config and standardizer, and the
+    protocol spec its run info records. A checkpoint saved without run info
+    gets the default task of its variant, which is enough to score."""
+    if not args.checkpoint or not os.path.exists(args.checkpoint):
+        raise UsageError(f"checkpoint not found: {args.checkpoint}")
+    model, train_config, standardizer, run_info = load_checkpoint(args.checkpoint)
+    variant = train_config.variant
+    spec = _protocol_from_config({"task": "binary" if variant in CLASSIFIERS else "unsupervised",
+                                  **run_info, "variant": variant})
+    return model, train_config, standardizer, run_info, spec
 
 
 def _run_info(spec: ProtocolSpec, seed: int, data: str) -> dict:
@@ -232,13 +250,12 @@ def _run_info(spec: ProtocolSpec, seed: int, data: str) -> dict:
 
 
 def cmd_train(args) -> int:
-    config, spec, train_config, seed, graphs, raw_features, labels, split = _train_setup(args)
-    job, standardizer = make_job(spec, train_config, split, graphs, raw_features, labels)
+    config, spec, seed, job, standardizer = _train_setup(args)
     result = train(job)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.model,
-                    train_config, standardizer, _run_info(spec, seed, config["data"]))
+                    job.config, standardizer, _run_info(spec, seed, config["data"]))
     serialize.dump_path(
         {
             "best_epoch": result.best_epoch,
@@ -254,9 +271,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    config, spec, train_config, seed, graphs, raw_features, labels, split = _train_setup(args)
+    config, spec, seed, job, standardizer = _train_setup(args)
     grid = config.get("grid") or DEFAULT_GRIDS[spec.variant]
-    job, standardizer = make_job(spec, train_config, split, graphs, raw_features, labels)
     result = grid_search(grid, job, workers=args.workers)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -273,38 +289,17 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if not args.checkpoint or not os.path.exists(args.checkpoint):
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
-    model, train_config, standardizer, run_info = load_checkpoint(args.checkpoint)
+    model, train_config, standardizer, run_info, spec = _load_model(args)
     data_path = args.data or run_info.get("data")
     if not data_path:
         raise UsageError("evaluate needs --data (or a checkpoint that records it)")
-    graphs, dataset = _load_graph_data(data_path)
-    split_info = run_info.get("split", {})
-    spec = ProtocolSpec(
-        task=run_info["task"],
-        variant=train_config.variant,
-        feature_set=run_info.get("feature_set"),
-        quota=split_info.get("quota"),
-        val_fraction=split_info.get("val_fraction"),
-        train_fraction=split_info.get("train_fraction", 0.20),
-        unsup_val_fraction=split_info.get("unsup_val_fraction", 0.10),
-    )
-    labels_by_level = {"binary": labels_at_level(graphs, "binary")}
-    if spec.task in ("category", "family"):
-        labels_by_level[spec.task] = labels_at_level(graphs, spec.task)
-    raw_features = None
-    if spec.variant not in ("clf", "ae", "oc"):
-        raw_features = feature_matrix(graphs, spec.feature_set, dataset)
-    split = make_split(spec, labels_by_level, run_info["seed"])
-    job, _ = make_job(spec, train_config, split, graphs, raw_features,
-                      labels_by_level, standardizer=standardizer)
+    _, job, _ = _load_job(spec, train_config, data_path, run_info["seed"], standardizer)
 
     report = {
         "task": spec.task,
         "model": spec.variant,
         "splits": {
-            part: evaluate_metrics(job, model, indices=getattr(split, part))
+            part: evaluate_metrics(job, model, indices=getattr(job.split, part))
             for part in ("train", "val", "test")
         },
     }
@@ -324,33 +319,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    if not args.checkpoint or not os.path.exists(args.checkpoint):
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
-    model, train_config, standardizer, run_info = load_checkpoint(args.checkpoint)
+    model, train_config, standardizer, _, spec = _load_model(args)
     if not args.data:
         raise UsageError("score needs --data")
-    graphs, dataset = _load_graph_data(args.data)
-
-    if train_config.variant in ("clf", "ae", "oc"):
-        from .model import PreparedGraph, make_batch, propagation_matrices
-
-        prepared = [
-            PreparedGraph(propagation_matrices(g), standardizer(g.edge_features))
-            for g in graphs
-        ]
-        batch = make_batch(prepared)
-        if train_config.variant == "clf":
-            values = model.predict_proba(batch)
-        else:
-            values = model.anomaly_scores(batch)[:, None]
+    graphs, job, _ = _load_job(spec, train_config, args.data, None, standardizer)
+    inputs = job.batch(np.arange(len(graphs)))
+    if train_config.variant in CLASSIFIERS:
+        values = model.predict_proba(inputs)
     else:
-        features = standardizer(
-            feature_matrix(graphs, run_info.get("feature_set"), dataset)
-        )
-        if train_config.variant == "mlp":
-            values = model.predict_proba(features)
-        else:
-            values = model.anomaly_scores(features)[:, None]
+        values = model.anomaly_scores(inputs)[:, None]
 
     if values.shape[1] == 1:
         header = ["sample_id", "score"]

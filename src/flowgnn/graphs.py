@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .errors import EmptyInput
+from .errors import EmptyInput, FlowDataError
 from .ingest import LabelTriple, SampleFlows
 
 AGGREGATIONS = ("mean", "median", "std", "skew", "kurt")
@@ -348,11 +348,20 @@ def read_graphs_jsonl(path) -> list[FlowGraph]:
                     category=int(raw["category"]),
                     family=None if raw.get("family") is None else int(raw["family"]),
                 )
+            edges = tuple((int(s), int(t)) for s, t in rec["edges"])
+            x = np.asarray(rec["x"], dtype=np.float64)
+            ends = np.asarray(edges, dtype=np.intp)
+            if ends.size and (ends.min() < 0 or ends.max() >= len(rec["nodes"])):
+                raise FlowDataError(f"graph {rec['id']!r}: an edge index lies outside "
+                                    f"[0, {len(rec['nodes'])})")
+            if x.shape[0] != len(edges):
+                raise FlowDataError(f"graph {rec['id']!r}: {x.shape[0]} feature rows "
+                                    f"for {len(edges)} edges")
             graphs.append(FlowGraph(
                 sample_id=rec["id"],
                 nodes=tuple(rec["nodes"]),
-                edges=tuple((int(s), int(t)) for s, t in rec["edges"]),
-                edge_features=np.asarray(rec["x"], dtype=np.float64),
+                edges=edges,
+                edge_features=x,
                 feature_names=tuple(rec["feature_names"]),
                 labels=labels,
             ))

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .model import Network
 from .nn import (
     TRAIN,
     Dense,
-    Parameter,
     Tensor,
     cross_entropy,
     mul,
@@ -29,55 +28,32 @@ from .nn import (
 MLP_VARIANTS = ("mlp", "mlp_ae", "mlp_oc")
 
 
-class DenseNetwork:
+class DenseNetwork(Network):
     """Up to two ReLU hidden layers plus a variant-specific output."""
 
     def __init__(self, variant: str, in_dim: int, num_hidden: int,
                  num_layers: int, rng: np.random.Generator,
                  num_classes: int | None = None, l2: float = 0.0):
-        if variant not in MLP_VARIANTS:
-            raise ValueError(f"variant must be one of {MLP_VARIANTS}, got {variant!r}")
-        if num_layers not in (1, 2):
-            raise ValueError("num_layers must be 1 or 2")
-        if variant == "mlp" and not num_classes:
-            raise ValueError("classifier needs num_classes")
-        self.variant = variant
-        self.in_dim = in_dim
-        self.num_hidden = num_hidden
-        self.num_layers = num_layers
-        self.num_classes = num_classes
+        super().__init__(variant, MLP_VARIANTS, in_dim, num_hidden, num_layers, num_classes)
         self.l2 = l2
-        bias = variant != "mlp_oc"
-        self.bias = bias
 
         h = num_hidden
         widths = [in_dim] + [h] * num_layers
         self.hidden = [
-            Dense(widths[i], widths[i + 1], rng, bias=bias, name=f"hidden{i + 1}")
+            Dense(widths[i], widths[i + 1], rng, bias=self.bias, name=f"hidden{i + 1}")
             for i in range(num_layers)
         ]
         self.out: Dense | None = None
         if variant == "mlp":
-            self.out = Dense(h, num_classes, rng, bias=bias, name="out")
+            self.out = Dense(h, num_classes, rng, bias=self.bias, name="out")
         elif variant == "mlp_ae":
-            self.out = Dense(h, in_dim, rng, bias=bias, name="out")
-        self.center: np.ndarray | None = None
+            self.out = Dense(h, in_dim, rng, bias=self.bias, name="out")
 
-    def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for layer in self.hidden:
-            params += layer.parameters()
-        if self.out is not None:
-            params += self.out.parameters()
-        return params
+    def layers(self) -> list[Dense]:
+        return self.hidden + ([] if self.out is None else [self.out])
 
-    def weight_matrices(self) -> list[Parameter]:
-        weights = [layer.W for layer in self.hidden]
-        if self.out is not None:
-            weights.append(self.out.W)
-        return weights
-
-    def embed(self, x: Tensor) -> Tensor:
+    def embed(self, x) -> Tensor:
+        x = _as_tensor(x)
         for layer in self.hidden:
             x = relu(layer(x))
         return x
@@ -85,7 +61,7 @@ class DenseNetwork:
     def logits(self, x) -> Tensor:
         if self.variant != "mlp":
             raise ValueError("logits are only defined for the classifier variant")
-        return self.out(self.embed(_as_tensor(x)))
+        return self.out(self.embed(x))
 
     def predict_proba(self, x) -> np.ndarray:
         return softmax_rows(self.logits(x)).data
@@ -93,23 +69,7 @@ class DenseNetwork:
     def reconstruct(self, x) -> Tensor:
         if self.variant != "mlp_ae":
             raise ValueError("reconstruct is only defined for the autoencoder variant")
-        return self.out(self.embed(_as_tensor(x)))
-
-    def init_center(self, x) -> np.ndarray:
-        if self.variant != "mlp_oc":
-            raise ValueError("init_center is only defined for the one-class variant")
-        embedded = self.embed(_as_tensor(x))
-        self.center = embedded.data.mean(axis=0, keepdims=True).copy()
-        return self.center[0]
-
-    def _l2_term(self) -> Tensor | None:
-        if self.l2 == 0.0:
-            return None
-        total = None
-        for w in self.weight_matrices():
-            term = sum_all(mul(w, w))
-            total = term if total is None else total + term
-        return scale(total, self.l2 / 2.0)
+        return self.out(self.embed(x))
 
     def loss(self, x, targets=None, mode: str = TRAIN, rng=None) -> Tensor:
         xt = _as_tensor(x)
@@ -123,36 +83,16 @@ class DenseNetwork:
                 raise ValueError("init_center must run before the one-class loss")
             diff = sub(self.embed(xt), Tensor(self.center))
             value = scale(sum_all(mul(diff, diff)), 1.0 / xt.shape[0])
-        penalty = self._l2_term()
-        return value if penalty is None else value + penalty
+        return value if self.l2 == 0.0 else value + self._l2_term(self.l2)
 
     def anomaly_scores(self, x) -> np.ndarray:
-        xt = _as_tensor(x)
         if self.variant == "mlp_ae":
+            xt = _as_tensor(x)
             diff = xt.data - self.out(self.embed(xt)).data
             return (diff ** 2).sum(axis=1)
         if self.variant == "mlp_oc":
-            embedded = self.embed(xt)
-            return ((embedded.data - self.center) ** 2).sum(axis=1)
+            return self._center_distances(x)
         raise ValueError("anomaly scores are only defined for ae and oc variants")
-
-    def state(self) -> dict:
-        return {
-            "params": [(p.name, p.data.copy()) for p in self.parameters()],
-            "batchnorm": [],
-            "center": None if self.center is None else self.center.copy(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        params = self.parameters()
-        if len(params) != len(state["params"]):
-            raise ShapeMismatch("parameter inventory mismatch")
-        for p, (name, data) in zip(params, state["params"]):
-            if p.name != name:
-                raise ShapeMismatch(f"parameter {p.name} does not match stored {name}")
-            p.data = np.asarray(data, dtype=np.float64).copy()
-        center = state.get("center")
-        self.center = None if center is None else np.asarray(center, dtype=np.float64).reshape(1, -1)
 
 
 def _as_tensor(x) -> Tensor:

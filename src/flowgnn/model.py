@@ -181,7 +181,94 @@ class _Block:
         return params
 
 
-class FlowGraphNetwork:
+class Network:
+    """What the graph encoder and the dense baselines share: validation,
+    parameter inventory, checkpoint state, the L2 term and the one-class
+    center.
+
+    `variants` names a family's (classifier, autoencoder, one-class) heads;
+    the one-class head is the bias-free one. Subclasses list their layers in
+    `layers()` and map model inputs to eval-mode per-sample embeddings in
+    `embed`; graph models also list their batch norms.
+    """
+
+    def __init__(self, variant: str, variants: tuple[str, str, str], in_dim: int,
+                 num_hidden: int, num_layers: int, num_classes: int | None):
+        if variant not in variants:
+            raise ValueError(f"variant must be one of {variants}, got {variant!r}")
+        if num_layers not in (1, 2):
+            raise ValueError("num_layers must be 1 or 2")
+        if variant == variants[0] and not num_classes:
+            raise ValueError("classifier needs num_classes")
+        self.variant = variant
+        self.in_dim = in_dim
+        self.num_hidden = num_hidden
+        self.num_layers = num_layers
+        self.num_classes = num_classes
+        self.bias = variant != variants[2]
+        self.center: np.ndarray | None = None
+
+    def parameters(self) -> list[Parameter]:
+        params: list[Parameter] = []
+        for layer in self.layers():
+            params += layer.parameters()
+        return params
+
+    def weight_matrices(self) -> list[Parameter]:
+        return [p for p in self.parameters() if p.name.endswith(".W")]
+
+    def batch_norms(self) -> list[BatchNorm]:
+        return []
+
+    def _l2_term(self, coefficient: float) -> Tensor:
+        total = None
+        for w in self.weight_matrices():
+            term = sum_all(mul(w, w))
+            total = term if total is None else total + term
+        return scale(total, coefficient / 2.0)
+
+    def init_center(self, inputs) -> np.ndarray:
+        """Freeze the hypersphere center at the mean initial embedding.
+
+        Uses eval-mode statistics and no dropout so the center does not
+        depend on stochastic state; it never changes afterwards.
+        """
+        if self.bias:
+            raise ValueError("init_center is only defined for the one-class variant")
+        self.center = self.embed(inputs).data.mean(axis=0, keepdims=True).copy()
+        return self.center[0]
+
+    def _center_distances(self, inputs) -> np.ndarray:
+        return ((self.embed(inputs).data - self.center) ** 2).sum(axis=1)
+
+    def state(self) -> dict:
+        return {
+            "params": [(p.name, p.data.copy()) for p in self.parameters()],
+            "batchnorm": [bn.state() for bn in self.batch_norms()],
+            "center": None if self.center is None else self.center.copy(),
+        }
+
+    def load_state(self, state: dict) -> None:
+        params = self.parameters()
+        norms = self.batch_norms()
+        if len(params) != len(state["params"]):
+            raise ShapeMismatch("parameter inventory mismatch")
+        if len(norms) != len(state["batchnorm"]):
+            raise ShapeMismatch("batch-norm inventory mismatch")
+        for p, (name, data) in zip(params, state["params"]):
+            data = np.asarray(data, dtype=np.float64)
+            if p.name != name or p.data.shape != data.shape:
+                raise ShapeMismatch(f"parameter {p.name} does not match stored {name}")
+            p.data = data.copy()
+        for bn, stored in zip(norms, state["batchnorm"]):
+            bn.load_state(stored)
+        center = state.get("center")
+        if center is not None and np.size(center) != self.num_hidden:
+            raise ShapeMismatch(f"center has {np.size(center)} entries, not {self.num_hidden}")
+        self.center = None if center is None else np.asarray(center, dtype=np.float64).reshape(1, -1)
+
+
+class FlowGraphNetwork(Network):
     """Encoder with one of three heads (clf, ae, oc) over graph batches."""
 
     def __init__(self, variant: str, in_dim: int, num_hidden: int,
@@ -189,28 +276,16 @@ class FlowGraphNetwork:
                  num_classes: int | None = None, pool: str = "mean",
                  dropout_p: float = 0.0, weight_decay: float = 1e-3,
                  batch_norm: bool = True, activation: bool = True):
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if num_layers not in (1, 2):
-            raise ValueError("num_layers must be 1 or 2")
+        super().__init__(variant, VARIANTS, in_dim, num_hidden, num_layers, num_classes)
         if pool not in POOLS:
             raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
-        if variant == "clf" and not num_classes:
-            raise ValueError("classifier needs num_classes")
-        self.variant = variant
-        self.in_dim = in_dim
-        self.num_hidden = num_hidden
-        self.num_layers = num_layers
-        self.num_classes = num_classes
         self.pool = pool
         self.dropout_p = dropout_p
         self.weight_decay = weight_decay
-        bias = variant != "oc"
-        self.bias = bias
         h = num_hidden
 
         def block(name, in_dim_, out_dim_, activation_=True, batch_norm_=True):
-            return _Block(in_dim_, out_dim_, rng, name, bias,
+            return _Block(in_dim_, out_dim_, rng, name, self.bias,
                           batch_norm and batch_norm_, activation and activation_)
 
         self.f1 = block("f1", in_dim, h)
@@ -221,7 +296,7 @@ class FlowGraphNetwork:
         self.head: Dense | None = None
         self.f5 = self.f6 = self.f7 = self.f8 = None
         if variant == "clf":
-            self.head = Dense(h, num_classes, rng, bias=bias, name="head")
+            self.head = Dense(h, num_classes, rng, bias=self.bias, name="head")
         elif variant == "ae":
             if num_layers == 2:
                 self.f5 = block("f5", 2 * h, h)
@@ -232,7 +307,6 @@ class FlowGraphNetwork:
                 # node embeddings feed the remaining edge update directly
                 self.f7 = block("f7", 2 * h, h)
             self.f8 = block("f8", h, in_dim, activation_=False, batch_norm_=False)
-        self.center: np.ndarray | None = None
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -243,19 +317,8 @@ class FlowGraphNetwork:
                 out.append(blk)
         return out
 
-    def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        for blk in self.blocks():
-            params += blk.parameters()
-        if self.head is not None:
-            params += self.head.parameters()
-        return params
-
-    def weight_matrices(self) -> list[Parameter]:
-        weights = [blk.dense.W for blk in self.blocks()]
-        if self.head is not None:
-            weights.append(self.head.W)
-        return weights
+    def layers(self) -> list:
+        return self.blocks() + ([] if self.head is None else [self.head])
 
     def batch_norms(self) -> list[BatchNorm]:
         return [blk.bn for blk in self.blocks() if blk.bn is not None]
@@ -335,6 +398,9 @@ class FlowGraphNetwork:
         encoded = self.encode(batch, mode, rng, coeffs)
         return segment_pool(encoded["h_final"], batch.node_segments, self.pool)
 
+    def embed(self, batch: GraphBatch) -> Tensor:
+        return self.pooled(batch, EVAL)
+
     def logits(self, batch: GraphBatch, mode: str = EVAL, rng=None) -> Tensor:
         if self.variant != "clf":
             raise ValueError("logits are only defined for the classifier variant")
@@ -346,13 +412,6 @@ class FlowGraphNetwork:
         return softmax_rows(self.logits(batch, EVAL)).data
 
     # -- losses and scores ----------------------------------------------------
-
-    def _l2_term(self) -> Tensor:
-        total = None
-        for w in self.weight_matrices():
-            term = sum_all(mul(w, w))
-            total = term if total is None else total + term
-        return scale(total, self.weight_decay / 2.0)
 
     def reconstruction_errors(self, batch: GraphBatch, mode: str = EVAL,
                               rng=None) -> tuple[Tensor, np.ndarray]:
@@ -375,18 +434,6 @@ class FlowGraphNetwork:
             row_weights[lo:hi] = 1.0 / (batch.num_graphs * (hi - lo))
         return sum_all(mul_const(sq, row_weights))
 
-    def init_center(self, batch: GraphBatch) -> np.ndarray:
-        """Freeze the hypersphere center at the mean initial embedding.
-
-        Uses eval-mode statistics and no dropout so the center does not
-        depend on stochastic state; it never changes afterwards.
-        """
-        if self.variant != "oc":
-            raise ValueError("init_center is only defined for the one-class variant")
-        pooled = self.pooled(batch, EVAL)
-        self.center = pooled.data.mean(axis=0, keepdims=True).copy()
-        return self.center[0]
-
     def oc_loss(self, batch: GraphBatch, mode: str = TRAIN, rng=None) -> Tensor:
         """Mean squared distance to the center plus L2 weight regularization."""
         if self.center is None:
@@ -394,7 +441,7 @@ class FlowGraphNetwork:
         pooled = self.pooled(batch, mode, rng)
         diff = sub(pooled, Tensor(self.center))
         dist = scale(sum_all(mul(diff, diff)), 1.0 / batch.num_graphs)
-        return dist + self._l2_term()
+        return dist + self._l2_term(self.weight_decay)
 
     def loss(self, batch: GraphBatch, targets=None, mode: str = TRAIN, rng=None) -> Tensor:
         if self.variant == "clf":
@@ -409,28 +456,5 @@ class FlowGraphNetwork:
             _, per_graph = self.reconstruction_errors(batch, EVAL)
             return per_graph
         if self.variant == "oc":
-            pooled = self.pooled(batch, EVAL)
-            return ((pooled.data - self.center) ** 2).sum(axis=1)
+            return self._center_distances(batch)
         raise ValueError("anomaly scores are only defined for ae and oc variants")
-
-    # -- state ----------------------------------------------------------------
-
-    def state(self) -> dict:
-        return {
-            "params": [(p.name, p.data.copy()) for p in self.parameters()],
-            "batchnorm": [bn.state() for bn in self.batch_norms()],
-            "center": None if self.center is None else self.center.copy(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        params = self.parameters()
-        if len(params) != len(state["params"]):
-            raise ShapeMismatch("parameter inventory mismatch")
-        for p, (name, data) in zip(params, state["params"]):
-            if p.name != name or p.data.shape != np.asarray(data).shape:
-                raise ShapeMismatch(f"parameter {p.name} does not match stored {name}")
-            p.data = np.asarray(data, dtype=np.float64).copy()
-        for bn, stored in zip(self.batch_norms(), state["batchnorm"]):
-            bn.load_state(stored)
-        center = state.get("center")
-        self.center = None if center is None else np.asarray(center, dtype=np.float64).reshape(1, -1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BatchTooSmall, ShapeMismatch
-from .tensor import Array, Parameter, Tensor, add, matmul, mul_const
+from .tensor import Array, Parameter, Tensor, _check_finite, add, matmul, mul_const
 
 TRAIN = "train"
 EVAL = "eval"
@@ -83,6 +83,7 @@ class BatchNorm:
         out_data = x_hat * gamma.data
         if beta is not None:
             out_data = out_data + beta.data
+        _check_finite(out_data, "batchnorm")
 
         if mode == TRAIN:
             n = x.shape[0]
@@ -122,6 +123,10 @@ class BatchNorm:
         }
 
     def load_state(self, state: dict) -> None:
+        for key, value in state.items():
+            if value is not None and np.size(value) != self.width:
+                raise ShapeMismatch(f"batch norm {key} has {np.size(value)} entries, "
+                                    f"not {self.width}")
         self.gamma.data = np.asarray(state["gamma"], dtype=np.float64).reshape(1, -1)
         if self.beta is not None:
             self.beta.data = np.asarray(state["beta"], dtype=np.float64).reshape(1, -1)

@@ -70,6 +70,3 @@ def standardize_fit(train_rows: np.ndarray, tol: float = CONSTANT_TOL) -> Standa
         raise ValueError("a kept column has zero spread; lower the tolerance")
     return Standardizer(kept_columns=kept, mean=mean, std=std)
 
-
-def standardize_apply(standardizer: Standardizer, rows: np.ndarray) -> np.ndarray:
-    return standardizer(rows)

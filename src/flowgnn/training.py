@@ -15,6 +15,7 @@ import csv
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable
@@ -35,13 +36,15 @@ from .model import (
     make_batch,
     propagation_matrices,
 )
-from .nn import Adam, TRAIN
+from .nn import EVAL, TRAIN, Adam
 from .preprocess import Standardizer, standardize_fit
 from .splits import SplitPlan, supervised_split, unsupervised_split
 
 logger = logging.getLogger(__name__)
 
 ALL_VARIANTS = GRAPH_VARIANTS + MLP_VARIANTS
+CLASSIFIERS = ("clf", "mlp")
+ONE_CLASS = ("oc", "mlp_oc")
 SUPERVISED_TASKS = ("binary", "category", "family")
 FEATURE_SETS = ("flow", "graph", "combined")
 
@@ -183,7 +186,9 @@ class FitResult:
 
 @dataclass(frozen=True, eq=False)
 class TrainJob:
-    """A picklable description of one training run on one split."""
+    """A picklable description of one training run on one split: prepared
+    graphs for the graph variants, standardized feature rows for the dense
+    baselines. Models take whatever `batch` returns."""
 
     config: TrainConfig
     split: SplitPlan
@@ -193,61 +198,44 @@ class TrainJob:
     binary: np.ndarray | None = None
     num_classes: int | None = None
 
-    @property
-    def is_graph(self) -> bool:
-        return self.config.variant in GRAPH_VARIANTS
+    def batch(self, indices) -> GraphBatch | np.ndarray:
+        if self.prepared is None:
+            return self.features[indices]
+        return make_batch([self.prepared[i] for i in indices])
+
+    def targets(self, indices) -> np.ndarray | None:
+        return None if self.y is None else self.y[indices]
 
     @property
     def in_dim(self) -> int:
-        if self.is_graph:
-            return self.prepared[0].x.shape[1]
-        return self.features.shape[1]
-
-
-def _graph_batch(job: TrainJob, indices) -> GraphBatch:
-    return make_batch([job.prepared[i] for i in indices])
+        return (self.features if self.prepared is None else self.prepared[0].x).shape[1]
 
 
 def _val_criterion(job: TrainJob, model) -> Callable[[], float]:
     kind = job.config.val_criterion
     if kind == "auto":
-        kind = "f1" if job.config.variant in ("clf", "mlp") else "auroc"
+        kind = "f1" if job.config.variant in CLASSIFIERS else "auroc"
     val = list(job.split.val)
+    inputs = job.batch(val)
 
     if kind == "f1":
         y_val = job.y[val]
 
         def score() -> float:
-            return weighted_f1(y_val, _predict(job, model, val))
+            return weighted_f1(y_val, model.predict_proba(inputs).argmax(axis=1))
     elif kind == "auroc":
         y_val = job.binary[val]
 
         def score() -> float:
-            return auroc(_scores(job, model, val), y_val)
+            return auroc(model.anomaly_scores(inputs), y_val)
     elif kind == "neg_loss":
+        targets = job.targets(val)
 
         def score() -> float:
-            if job.is_graph:
-                batch = _graph_batch(job, val)
-                loss = model.loss(batch, None if job.y is None else job.y[val], mode="eval")
-            else:
-                loss = model.loss(job.features[val], None if job.y is None else job.y[val], mode="eval")
-            return -loss.item()
+            return -model.loss(inputs, targets, mode=EVAL).item()
     else:
         raise ValueError(f"unknown validation criterion {kind!r}")
     return score
-
-
-def _predict(job: TrainJob, model, indices) -> np.ndarray:
-    if job.is_graph:
-        return model.predict_proba(_graph_batch(job, indices)).argmax(axis=1)
-    return model.predict_proba(job.features[indices]).argmax(axis=1)
-
-
-def _scores(job: TrainJob, model, indices) -> np.ndarray:
-    if job.is_graph:
-        return model.anomaly_scores(_graph_batch(job, indices))
-    return model.anomaly_scores(job.features[indices])
 
 
 def train(job: TrainJob,
@@ -264,10 +252,8 @@ def train(job: TrainJob,
     model = build_model(config, job.in_dim, job.num_classes, rng)
     train_idx = np.asarray(job.split.train, dtype=np.intp)
 
-    if config.variant == "oc":
-        model.init_center(_graph_batch(job, train_idx))
-    elif config.variant == "mlp_oc":
-        model.init_center(job.features[train_idx])
+    if config.variant in ONE_CLASS:
+        model.init_center(job.batch(train_idx))
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     val_score = None if criterion_fn is not None else _val_criterion(job, model)
@@ -284,14 +270,7 @@ def train(job: TrainJob,
         try:
             for lo in range(0, len(order), config.batch_size):
                 chunk = order[lo:lo + config.batch_size]
-                if job.is_graph:
-                    batch = _graph_batch(job, chunk)
-                    loss = model.loss(batch, None if job.y is None else job.y[chunk],
-                                      mode=TRAIN, rng=rng)
-                else:
-                    loss = model.loss(job.features[chunk],
-                                      None if job.y is None else job.y[chunk],
-                                      mode=TRAIN, rng=rng)
+                loss = model.loss(job.batch(chunk), job.targets(chunk), mode=TRAIN, rng=rng)
                 optimizer.zero_grad()
                 loss.backward()
                 optimizer.step()
@@ -316,9 +295,10 @@ def train(job: TrainJob,
 def evaluate_metrics(job: TrainJob, model, indices=None) -> dict:
     """Metric dict on the given indices (default: the test split)."""
     idx = list(job.split.test if indices is None else indices)
-    if job.config.variant in ("clf", "mlp"):
+    inputs = job.batch(idx)
+    if job.config.variant in CLASSIFIERS:
         y_true = job.y[idx]
-        y_pred = _predict(job, model, idx)
+        y_pred = model.predict_proba(inputs).argmax(axis=1)
         return {
             "metric": "weighted_f1",
             "value": weighted_f1(y_true, y_pred),
@@ -329,7 +309,7 @@ def evaluate_metrics(job: TrainJob, model, indices=None) -> dict:
         }
     return {
         "metric": "auroc",
-        "value": auroc(_scores(job, model, idx), job.binary[idx]),
+        "value": auroc(model.anomaly_scores(inputs), job.binary[idx]),
     }
 
 
@@ -349,44 +329,30 @@ class GridSearchResult:
     cells: list[dict] = field(default_factory=list)
 
 
-def _fit_cell(args: tuple[TrainJob, dict]) -> tuple[dict, float, int]:
-    job, overrides = args
-    result = train(job)
-    return overrides, result.best_val, result.best_epoch
-
-
 def grid_search(grid: dict[str, list], base_job: TrainJob,
                 workers: int = 1) -> GridSearchResult:
     """Exhaustive search; ties keep the earliest cell in grid order.
 
-    The winning cell is retrained once (same seed, hence identical) to
-    recover its model; test metrics are for the caller to compute.
+    Returns the winning cell's own fit, keeping only the best fit so far
+    while the cells run; test metrics are for the caller to compute.
     """
     combos = expand_grid(grid)
     jobs = [
-        (replace(base_job, config=TrainConfig.from_dict({**base_job.config.to_dict(),
-                                                         **overrides})), overrides)
+        replace(base_job, config=TrainConfig.from_dict({**base_job.config.to_dict(),
+                                                        **overrides}))
         for overrides in combos
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_fit_cell, jobs))
-    else:
-        outcomes = [_fit_cell(j) for j in jobs]
-
-    cells = [
-        {"config": overrides, "val_score": score, "best_epoch": best_epoch}
-        for overrides, score, best_epoch in outcomes
-    ]
-    best_index = 0
-    for i, cell in enumerate(cells):
-        if cell["val_score"] > cells[best_index]["val_score"]:
-            best_index = i
-    best_job = jobs[best_index][0]
-    best_fit = train(best_job)
+    cells: list[dict] = []
+    best_index, best_fit = 0, None
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for i, fit in enumerate(map(train, jobs) if pool is None else pool.map(train, jobs)):
+            cells.append({"config": combos[i], "val_score": fit.best_val,
+                          "best_epoch": fit.best_epoch})
+            if best_fit is None or fit.best_val > best_fit.best_val:
+                best_index, best_fit = i, fit
     logger.info("grid search selected cell %d/%d (val %.4f)",
-                best_index + 1, len(cells), cells[best_index]["val_score"])
-    return GridSearchResult(best_job.config, best_fit, cells)
+                best_index + 1, len(cells), best_fit.best_val)
+    return GridSearchResult(best_fit.config, best_fit, cells)
 
 
 # -- repeated-split protocol -----------------------------------------------------
@@ -409,8 +375,7 @@ class ProtocolSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if self.variant not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        supervised_variant = self.variant in ("clf", "mlp")
-        if supervised_variant != (self.task != "unsupervised"):
+        if (self.variant in CLASSIFIERS) != (self.task != "unsupervised"):
             raise ValueError(f"variant {self.variant!r} does not fit task {self.task!r}")
         if self.variant in MLP_VARIANTS and self.feature_set is None:
             raise ValueError("mlp variants need a feature_set")
@@ -427,13 +392,32 @@ class ProtocolResult:
         return out
 
 
+def task_data(spec: ProtocolSpec, graphs: list[FlowGraph],
+              dataset: FlowDataset | None = None) -> tuple[np.ndarray | None, dict]:
+    """The raw baseline features (None for graph variants) and the labels
+    the task reads, keyed by level. A level that some graph lacks is left
+    out, so label-free data can still be scored; splitting needs it."""
+    raw_features = None
+    if spec.variant in MLP_VARIANTS:
+        raw_features = feature_matrix(graphs, spec.feature_set, dataset)
+    levels = ("binary",) if spec.task in ("binary", "unsupervised") else ("binary", spec.task)
+    labels_by_level = {
+        level: labels_at_level(graphs, level) for level in levels
+        if all(g.labels is not None and g.labels.at_level(level) is not None for g in graphs)
+    }
+    return raw_features, labels_by_level
+
+
 def make_split(spec: ProtocolSpec, labels_by_level: dict[str, np.ndarray],
                seed: int) -> SplitPlan:
+    level = "binary" if spec.task == "unsupervised" else spec.task
+    if level not in labels_by_level:
+        raise ValueError(f"the {spec.task} task needs a {level} label on every graph")
     if spec.task == "unsupervised":
-        return unsupervised_split(labels_by_level["binary"], seed,
+        return unsupervised_split(labels_by_level[level], seed,
                                   train_fraction=spec.train_fraction,
                                   val_fraction=spec.unsup_val_fraction)
-    return supervised_split(labels_by_level[spec.task], spec.task, seed,
+    return supervised_split(labels_by_level[level], spec.task, seed,
                             quota=spec.quota, val_fraction=spec.val_fraction)
 
 
@@ -444,8 +428,8 @@ def make_job(spec: ProtocolSpec, config: TrainConfig, split: SplitPlan,
              standardizer: Standardizer | None = None) -> tuple[TrainJob, Standardizer]:
     """Assemble a TrainJob; the standardizer is fit on the split's
     training rows unless an already-fitted one is supplied."""
-    y = labels_by_level[spec.task] if spec.task != "unsupervised" else None
-    binary = labels_by_level["binary"]
+    y = labels_by_level.get(spec.task)
+    binary = labels_by_level.get("binary")
     num_classes = None if y is None else int(y.max()) + 1
     if config.variant in GRAPH_VARIANTS:
         if standardizer is None:
@@ -469,10 +453,10 @@ def make_job(spec: ProtocolSpec, config: TrainConfig, split: SplitPlan,
 
 
 def _one_repeat(args) -> dict:
-    spec, config, grid, seed, graphs, raw_features, labels_by_level = args
+    spec, config, grid, seed, graphs, raw_features, labels_by_level, prop_cache = args
     split = make_split(spec, labels_by_level, seed)
     job, _ = make_job(spec, replace(config, seed=seed), split, graphs,
-                      raw_features, labels_by_level)
+                      raw_features, labels_by_level, prop_cache)
     if grid is not None:
         searched = grid_search(grid, job)
         fit = searched.best_fit
@@ -501,20 +485,19 @@ def run_protocol(spec: ProtocolSpec, graphs: list[FlowGraph],
 
     Each repeat draws a fresh split, refits the standardizer on that
     split's training rows, trains (or grid-searches) and scores the test
-    split. The report aggregates mean and standard deviation.
+    split; propagation matrices depend on no split and are computed once.
+    The report aggregates mean and standard deviation.
     """
     config = config if config is not None else TrainConfig(variant=spec.variant)
     if config.variant != spec.variant:
         config = replace(config, variant=spec.variant)
-    labels_by_level = {"binary": labels_at_level(graphs, "binary")}
-    if spec.task in ("category", "family"):
-        labels_by_level[spec.task] = labels_at_level(graphs, spec.task)
-    raw_features = None
-    if spec.variant in MLP_VARIANTS:
-        raw_features = feature_matrix(graphs, spec.feature_set, dataset)
+    raw_features, labels_by_level = task_data(spec, graphs, dataset)
+    prop_cache = None
+    if spec.variant in GRAPH_VARIANTS:
+        prop_cache = [propagation_matrices(g) for g in graphs]
 
     seeds = [root_seed + i for i in range(n_repeats)]
-    arg_list = [(spec, config, grid, seed, graphs, raw_features, labels_by_level)
+    arg_list = [(spec, config, grid, seed, graphs, raw_features, labels_by_level, prop_cache)
                 for seed in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -549,16 +532,3 @@ def write_report(result: ProtocolResult, out_dir, name: str = "report") -> tuple
             ])
     return json_path, csv_path
 
-
-def mlp_baselines(spec: ProtocolSpec, graphs: list[FlowGraph],
-                  dataset: FlowDataset | None = None,
-                  grid: dict[str, list] | None = None,
-                  config: TrainConfig | None = None,
-                  n_repeats: int = 30, root_seed: int = 0,
-                  workers: int = 1) -> ProtocolResult:
-    """Dense baselines on the per-sample feature sets, same harness."""
-    if spec.variant not in MLP_VARIANTS:
-        raise ValueError("mlp_baselines only runs mlp variants")
-    return run_protocol(spec, graphs, config=config, grid=grid,
-                        n_repeats=n_repeats, root_seed=root_seed,
-                        dataset=dataset, workers=workers)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from flowgnn import serialize
 from flowgnn.checkpoint import load_checkpoint, save_checkpoint
+from flowgnn.errors import ShapeMismatch
 from flowgnn.mlp import DenseNetwork
 from flowgnn.model import FlowGraphNetwork, make_batch, prepare_graph
 from flowgnn.preprocess import standardize_fit
@@ -82,6 +84,45 @@ class TestCheckpointRoundTrip:
             loaded, *_ = load_checkpoint(path)
             save_checkpoint(save_again, loaded, config)
             assert path.read_bytes() == save_again.read_bytes()
+
+
+def shrink_hidden_bias(raw):
+    entry = next(p for p in raw["params"] if p["name"] == "hidden1.b")
+    entry["shape"], entry["values"] = [1, 1], entry["values"][:1]
+
+
+class TestMismatchedCheckpoint:
+    def edited(self, tmp_path, model, config, edit):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, model, config)
+        raw = serialize.load_path(path)
+        edit(raw)
+        serialize.dump_path(raw, path)
+        return path
+
+    @pytest.mark.parametrize("variant, edit, message", [
+        ("mlp", shrink_hidden_bias, "hidden1.b"),
+        ("mlp_oc", lambda raw: raw.update(oc_center=raw["oc_center"][:1]), "center"),
+    ], ids=["bias", "center"])
+    def test_dense_shapes(self, tmp_path, variant, edit, message):
+        model = DenseNetwork(variant, in_dim=7, num_hidden=4, num_layers=2,
+                             rng=np.random.default_rng(1), num_classes=3)
+        if variant == "mlp_oc":
+            model.init_center(np.random.default_rng(2).normal(size=(5, 7)))
+        config = TrainConfig(variant=variant, num_layers=2, num_hidden=4)
+        path = self.edited(tmp_path, model, config, edit)
+        with pytest.raises(ShapeMismatch, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["batchnorm"].pop(), "batch-norm inventory"),
+        (lambda raw: raw["batchnorm"][0].update(gamma=[2.0], running_mean=[0.5]), "gamma"),
+    ], ids=["count", "width"])
+    def test_graph_batchnorm(self, tmp_path, edit, message):
+        config = TrainConfig(variant="clf", num_layers=2, num_hidden=5)
+        path = self.edited(tmp_path, graph_model("clf"), config, edit)
+        with pytest.raises(ShapeMismatch, match=message):
+            load_checkpoint(path)
 
 
 class TestSerializer:

@@ -242,6 +242,40 @@ class TestEvaluateAndScore:
             rows = list(csv.DictReader(fp))
         assert all(float(r["score"]) >= 0.0 for r in rows)
 
+    def test_dense_flow_features_train_evaluate_score(self, workspace, tmp_path):
+        # flow features need the flows, so the dataset manifest is the data
+        root, data_dir, out_dir = workspace
+        config = json.loads(train_config(root, out_dir, variant="mlp_oc",
+                                         task="unsupervised").read_text())
+        config.update(data=str(data_dir / "manifest.json"), feature_set="flow")
+        path = tmp_path / "mlp_oc.json"
+        path.write_text(json.dumps(config))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--seed", "4", "--out", str(run)]) == 0
+        assert main(["evaluate", "--checkpoint", str(run / "checkpoint.json"),
+                     "--out", str(run)]) == 0
+        report = serialize.load_path(run / "metrics.json")
+        assert {e["metric"] for e in report["splits"].values()} == {"auroc"}
+        assert main(["score", "--checkpoint", str(run / "checkpoint.json"),
+                     "--data", str(data_dir / "manifest.json"),
+                     "--out", str(run / "scores.csv")]) == 0
+        with open(run / "scores.csv") as fp:
+            rows = list(csv.DictReader(fp))
+        assert len(rows) == 60
+        assert all(float(r["score"]) >= 0.0 for r in rows)
+
+    def test_score_label_free_graphs(self, trained, tmp_path):
+        checkpoint, data = trained
+        unlabelled = tmp_path / "unlabelled.jsonl"
+        with open(data) as src, open(unlabelled, "w") as dst:
+            for line in src:
+                dst.write(json.dumps({**json.loads(line), "labels": None}) + "\n")
+        for source, name in ((data, "labelled.csv"), (unlabelled, "unlabelled.csv")):
+            assert main(["score", "--checkpoint", str(checkpoint), "--data", str(source),
+                         "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "labelled.csv").read_bytes() == \
+               (tmp_path / "unlabelled.csv").read_bytes()
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "flowgnn.cli", "--help"],

@@ -1,3 +1,4 @@
+import json
 import math
 
 import networkx as nx
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowgnn.errors import EmptyInput
+from flowgnn.errors import EmptyInput, FlowDataError
 from flowgnn.graphs import (
     STRUCTURAL_DIM,
     aggregate_edge_features,
@@ -293,3 +294,17 @@ class TestGraphJsonl:
             assert a.labels == b.labels
             assert a.feature_names == b.feature_names
             assert np.array_equal(a.edge_features, b.edge_features)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec["edges"].__setitem__(0, [-1, 1]), "edge index"),
+        (lambda rec: rec["edges"].__setitem__(0, [0, 2]), "edge index"),
+        (lambda rec: rec["x"].pop(), "feature rows"),
+    ], ids=["negative_index", "index_past_nodes", "short_x"])
+    def test_malformed_record_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "graphs.jsonl"
+        write_graphs_jsonl([make_graph([(0, 1), (1, 0)], gid="bad")], path)
+        rec = json.loads(path.read_text())
+        edit(rec)
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(FlowDataError, match=f"'bad'.*{message}"):
+            read_graphs_jsonl(path)

@@ -5,7 +5,7 @@ from flowgnn.graphs import build_flow_graph
 from flowgnn.mlp import DenseNetwork
 from flowgnn.nn import Adam, finite_difference_check
 from flowgnn.synth import SynthSpec, synth_generate
-from flowgnn.training import ProtocolSpec, TrainConfig, mlp_baselines
+from flowgnn.training import ProtocolSpec, TrainConfig, run_protocol
 
 
 def build(variant, in_dim=5, h=6, layers=2, seed=0, num_classes=3, l2=0.0):
@@ -86,8 +86,7 @@ class TestMlpBaselines:
         config = TrainConfig(variant="mlp", num_hidden=64, num_layers=1,
                              learning_rate=1e-3, batch_size=32, max_epochs=500,
                              l2=1e-2)
-        result = mlp_baselines(spec, graphs, dataset=dataset, config=config,
-                               n_repeats=2)
+        result = run_protocol(spec, graphs, config=config, n_repeats=2, dataset=dataset)
         assert min(result.report.per_seed) >= 0.95
 
     def test_unsupervised_variants_run(self, synthetic_task):
@@ -97,8 +96,7 @@ class TestMlpBaselines:
                                 feature_set="combined")
             config = TrainConfig(variant=variant, num_hidden=8, num_layers=1,
                                  batch_size=16, max_epochs=30)
-            result = mlp_baselines(spec, graphs, dataset=dataset, config=config,
-                                   n_repeats=1)
+            result = run_protocol(spec, graphs, config=config, n_repeats=1, dataset=dataset)
             assert 0.0 <= result.report.per_seed[0] <= 1.0
 
     def test_best_epoch_history_bookkeeping(self, synthetic_task):
@@ -106,12 +104,8 @@ class TestMlpBaselines:
         spec = ProtocolSpec(task="unsupervised", variant="mlp_ae", feature_set="flow")
         config = TrainConfig(variant="mlp_ae", num_hidden=8, num_layers=1,
                              batch_size=16, max_epochs=30)
-        result = mlp_baselines(spec, graphs, dataset=dataset, config=config, n_repeats=1)
+        result = run_protocol(spec, graphs, config=config, n_repeats=1, dataset=dataset)
         run = result.runs[0]
         assert run["best_epoch"] >= 1
         assert run["metric"] == "auroc"
 
-    def test_rejects_graph_variant(self, synthetic_task):
-        _, graphs = synthetic_task
-        with pytest.raises(ValueError):
-            mlp_baselines(ProtocolSpec(task="binary", variant="clf"), graphs)

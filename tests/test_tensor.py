@@ -3,6 +3,8 @@ import pytest
 
 from flowgnn.errors import NotScalarLoss, NumericalError, ShapeMismatch
 from flowgnn.nn import (
+    EVAL,
+    BatchNorm,
     Parameter,
     Tensor,
     add,
@@ -118,6 +120,16 @@ def test_nan_raises_numerical_error():
     big = Tensor([[1e308]])
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         add(big, big)
+
+
+def test_overflow_names_the_op():
+    big = Tensor([[1e200, 1e200]])
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="in matmul"):
+        matmul(big, Tensor([[1e200], [1e200]]))
+    bn = BatchNorm(2)
+    bn.gamma.data = np.full((1, 2), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="in batchnorm"):
+        bn(Tensor([[10.0, -10.0]]), EVAL)
 
 
 def test_broadcast_add_gradients():
