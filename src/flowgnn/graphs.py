@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -57,29 +58,50 @@ class FlowGraph:
         return len(self.edges)
 
 
-def aggregate_edge_features(flow_features: np.ndarray) -> np.ndarray:
-    """Aggregate a (k, d) matrix into a 5d vector of per-column statistics.
+def _segment_aggregate(rows: np.ndarray, segments: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Aggregate consecutive row segments of a (n, d) matrix, one 5d row each.
 
-    Layout is five blocks of width d: [mean | median | std | skew | kurt].
-    Moments are population moments (divisor k), skew is m3/sigma^3 and
-    kurtosis is excess (m4/sigma^4 - 3). Columns with zero spread get
-    std = skew = kurt = 0, which also covers the single-row case.
+    Rows come grouped by segment: `segments` is the non-decreasing segment
+    id of every row and `counts[s]` the length of segment s. Every sum is one
+    flat `np.bincount` over (segment, column) cells, which adds each cell's
+    rows from +0.0 in the order they appear here. numpy's axis-0 mean adds
+    two or more columns in that order too, so the moments match it bit for
+    bit; a lone column numpy sums pairwise, so that case sums each segment
+    with `np.add.reduce`. Medians come from each column sorted inside each
+    segment.
     """
-    matrix = np.asarray(flow_features, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix.reshape(1, -1)
-    if matrix.shape[0] == 0:
-        raise EmptyInput("cannot aggregate zero rows")
+    num, d = len(counts), rows.shape[1]
+    starts = np.cumsum(counts) - counts
+    cells = (segments[:, None] * d + np.arange(d)).ravel()
 
-    mean = matrix.mean(axis=0)
-    median = np.median(matrix, axis=0)
+    def segment_mean(values):
+        if d == 1:
+            sums = np.array([np.add.reduce(part)
+                             for part in np.split(values.ravel(), starts[1:])])
+        else:
+            sums = np.bincount(cells, weights=values.ravel(), minlength=num * d)
+        return sums.reshape(num, d) / counts[:, None]
+
+    mean = segment_mean(rows)
+    # each column sorted by value, then stably by segment: every segment's
+    # values ascend (equal values may swap, which no statistic here sees);
+    # uint16 ids get numpy's radix sort
+    by_value = np.argsort(rows, axis=0)
+    ids = segments.astype(np.uint16 if num <= 1 << 16 else np.intp)[by_value]
+    by_segment = np.take_along_axis(by_value, np.argsort(ids, axis=0, kind="stable"), axis=0)
+    ranked = np.take_along_axis(rows, by_segment, axis=0)
+    # np.median's own arithmetic: the middle values summed from +0.0, then
+    # halved when there are two of them
+    median = 0.0 + ranked[starts + (counts - 1) // 2]
+    even = counts % 2 == 0
+    median[even] = (median[even] + ranked[starts[even] + counts[even] // 2]) / 2.0
     # exact-equality spread test: near-constant columns would otherwise
     # produce pure rounding noise in the higher moments
-    constant = matrix.max(axis=0) == matrix.min(axis=0)
-    centered = matrix - mean
-    m2 = (centered ** 2).mean(axis=0)
-    m3 = (centered ** 3).mean(axis=0)
-    m4 = (centered ** 4).mean(axis=0)
+    constant = ranked[starts + counts - 1] == ranked[starts]
+    centered = rows - mean[segments]
+    m2 = segment_mean(centered ** 2)
+    m3 = segment_mean(centered ** 3)
+    m4 = segment_mean(centered ** 4)
     std = np.zeros_like(mean)
     skew = np.zeros_like(mean)
     kurt = np.zeros_like(mean)
@@ -91,42 +113,76 @@ def aggregate_edge_features(flow_features: np.ndarray) -> np.ndarray:
     ok4 = ok & (m2 ** 2 > 0.0)
     skew[ok3] = m3[ok3] / std[ok3] ** 3
     kurt[ok4] = m4[ok4] / m2[ok4] ** 2 - 3.0
-    return np.concatenate([mean, median, std, skew, kurt])
+    return np.concatenate([mean, median, std, skew, kurt], axis=1)
+
+
+def check_edge_indices(sample_id: str, edges, num_nodes: int) -> None:
+    """Raise FlowDataError naming the sample if an edge end is outside [0, num_nodes)."""
+    ends = np.asarray(edges, dtype=np.intp)
+    if ends.size and (ends.min() < 0 or ends.max() >= num_nodes):
+        raise FlowDataError(f"graph {sample_id!r}: an edge index lies outside [0, {num_nodes})")
+
+
+def aggregate_edge_features(flow_features: np.ndarray) -> np.ndarray:
+    """Aggregate a (k, d) matrix into a 5d vector of per-column statistics.
+
+    Layout is five blocks of width d: [mean | median | std | skew | kurt].
+    Moments are population moments (divisor k), skew is m3/sigma^3 and
+    kurtosis is excess (m4/sigma^4 - 3). Columns with zero spread get
+    std = skew = kurt = 0, which also covers the single-row case.
+
+    The k rows form the one segment of `_segment_aggregate`, the code that
+    also gives every edge row of `build_flow_graph`. Its sums add the rows
+    top to bottom (a lone column pairwise), as `matrix.mean(axis=0)` does on
+    a C-ordered matrix, so mean, moments and median equal numpy's bit for
+    bit. The result does not depend on the input's memory layout.
+    """
+    matrix = np.ascontiguousarray(flow_features, dtype=np.float64)
+    if matrix.ndim == 1:
+        matrix = matrix.reshape(1, -1)
+    k = matrix.shape[0]
+    if k == 0:
+        raise EmptyInput("cannot aggregate zero rows")
+    return _segment_aggregate(matrix, np.zeros(k, dtype=np.intp), np.array([k]))[0]
 
 
 def aggregate_feature_names(names) -> tuple[str, ...]:
     return tuple(f"{agg}_{name}" for agg in AGGREGATIONS for name in names)
 
 
+def _feature_matrix(sample: SampleFlows) -> np.ndarray:
+    """The sample's flow features as one (flows, d) float64 matrix, file order."""
+    d = len(sample.flows[0].features)
+    values = chain.from_iterable(f.features for f in sample.flows)
+    return np.fromiter(values, dtype=np.float64, count=len(sample.flows) * d).reshape(-1, d)
+
+
 def build_flow_graph(sample: SampleFlows) -> FlowGraph:
     """Collapse a sample's flows into a directed endpoint graph.
 
     Nodes are listed in first-appearance order, edges in first-appearance
-    order of their ordered endpoint pair; each edge row aggregates that
-    pair's flows in file order.
+    order of their ordered endpoint pair. A stable sort by edge id groups
+    the flow matrix into one segment per edge that keeps the file order of
+    its flows, so each edge row equals `aggregate_edge_features` of that
+    pair's flows in file order, bit for bit.
     """
     node_index: dict[str, int] = {}
-    edge_index: dict[tuple[int, int], int] = {}
-    edge_rows: list[list[tuple[float, ...]]] = []
-    for flow in sample.flows:
-        for ip in (flow.src_ip, flow.dst_ip):
-            if ip not in node_index:
-                node_index[ip] = len(node_index)
-        key = (node_index[flow.src_ip], node_index[flow.dst_ip])
-        if key not in edge_index:
-            edge_index[key] = len(edge_rows)
-            edge_rows.append([])
-        edge_rows[edge_index[key]].append(flow.features)
-
-    features = np.vstack([
-        aggregate_edge_features(np.asarray(rows, dtype=np.float64)) for rows in edge_rows
-    ])
-    d = len(sample.flows[0].features)
-    raw_names = tuple(f"f{i}" for i in range(d))
+    codes = np.array([node_index.setdefault(ip, len(node_index))
+                      for f in sample.flows for ip in (f.src_ip, f.dst_ip)], dtype=np.int64)
+    num_nodes = len(node_index)
+    keys = codes[0::2] * num_nodes + codes[1::2]
+    unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    edge_ids = np.argsort(by_appearance)[inverse]
+    grouped = np.argsort(edge_ids, kind="stable")
+    matrix = _feature_matrix(sample)
+    features = _segment_aggregate(matrix[grouped], edge_ids[grouped], np.bincount(edge_ids))
+    edge_keys = unique_keys[by_appearance]
+    raw_names = tuple(f"f{i}" for i in range(matrix.shape[1]))
     return FlowGraph(
         sample_id=sample.sample_id,
         nodes=tuple(node_index),
-        edges=tuple(edge_index),
+        edges=tuple(zip((edge_keys // num_nodes).tolist(), (edge_keys % num_nodes).tolist())),
         edge_features=features,
         feature_names=aggregate_feature_names(raw_names),
         labels=sample.labels,
@@ -135,9 +191,7 @@ def build_flow_graph(sample: SampleFlows) -> FlowGraph:
 
 def flow_aggregate_features(sample: SampleFlows) -> np.ndarray:
     """Aggregate all of a sample's flows regardless of endpoints."""
-    return aggregate_edge_features(
-        np.asarray([f.features for f in sample.flows], dtype=np.float64)
-    )
+    return aggregate_edge_features(_feature_matrix(sample))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,37 +227,41 @@ def _local_clustering(adj: list[set[int]]) -> np.ndarray:
 
 
 def _betweenness(adj: list[set[int]]) -> np.ndarray:
-    """Exact unnormalized betweenness centrality (Brandes accumulation)."""
+    """Exact unnormalized betweenness centrality (Brandes accumulation).
+
+    One breadth-first search per source visits neighbours in set order;
+    the queue doubles as Brandes' stack. Path counts and dependencies are
+    Python floats, added in the same order and with the same operations
+    as a float64 array would hold them, so the result is bit-exact.
+    """
     n = len(adj)
-    centrality = np.zeros(n)
+    centrality = [0.0] * n
     for source in range(n):
-        stack: list[int] = []
         preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = np.zeros(n)
+        sigma = [0.0] * n
         sigma[source] = 1.0
-        dist = np.full(n, -1)
+        dist = [-1] * n
         dist[source] = 0
         queue = [source]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            stack.append(v)
+        for v in queue:  # grows while it is walked
+            next_dist = dist[v] + 1
             for w in adj[v]:
                 if dist[w] < 0:
-                    dist[w] = dist[v] + 1
+                    dist[w] = next_dist
                     queue.append(w)
-                if dist[w] == dist[v] + 1:
+                if dist[w] == next_dist:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = np.zeros(n)
-        for w in reversed(stack):
+        delta = [0.0] * n
+        for w in reversed(queue):
+            sigma_w = sigma[w]
+            share = 1.0 + delta[w]
             for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+                delta[v] += sigma[v] / sigma_w * share
             if w != source:
                 centrality[w] += delta[w]
     # each undirected pair is counted from both endpoints
-    return centrality / 2.0
+    return np.array(centrality) / 2.0
 
 
 def _global_clustering(adj: list[set[int]]) -> float:
@@ -324,7 +382,7 @@ def write_graphs_jsonl(graphs, path) -> None:
                 "id": graph.sample_id,
                 "labels": labels,
                 "nodes": list(graph.nodes),
-                "edges": [list(e) for e in graph.edges],
+                "edges": np.array(graph.edges, dtype=np.int64).reshape(-1, 2),
                 "x": graph.edge_features,
                 "feature_names": list(graph.feature_names),
             }
@@ -350,10 +408,7 @@ def read_graphs_jsonl(path) -> list[FlowGraph]:
                 )
             edges = tuple((int(s), int(t)) for s, t in rec["edges"])
             x = np.asarray(rec["x"], dtype=np.float64)
-            ends = np.asarray(edges, dtype=np.intp)
-            if ends.size and (ends.min() < 0 or ends.max() >= len(rec["nodes"])):
-                raise FlowDataError(f"graph {rec['id']!r}: an edge index lies outside "
-                                    f"[0, {len(rec['nodes'])})")
+            check_edge_indices(rec["id"], edges, len(rec["nodes"]))
             if x.shape[0] != len(edges):
                 raise FlowDataError(f"graph {rec['id']!r}: {x.shape[0]} feature rows "
                                     f"for {len(edges)} edges")

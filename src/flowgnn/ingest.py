@@ -13,6 +13,9 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+
+import numpy as np
 
 from . import serialize
 from .errors import (
@@ -140,19 +143,11 @@ class ColumnSchema:
         return cols
 
 
-def _parse_cell(value: str, column: str, row: int, strict: bool) -> float:
+def _to_float(cell: str) -> float:
     try:
-        parsed = float(value)
+        return float(cell)
     except ValueError:
-        parsed = math.nan
-    if math.isfinite(parsed):
-        return parsed
-    if strict:
-        raise NonNumericFeature(
-            f"row {row}, column {column!r}: cannot parse {value!r} as a finite number"
-        )
-    logger.warning("row %d, column %r: replacing %r with 0.0", row, column, value)
-    return 0.0
+        return math.nan
 
 
 def _parse_flow_file(path, schema: ColumnSchema, sample_id: str | None,
@@ -182,24 +177,56 @@ def _parse_flow_file(path, schema: ColumnSchema, sample_id: str | None,
         dst_pos = positions[schema.dst_ip]
         feat_pos = [positions[name] for name in feature_cols]
 
-        flows = []
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            src = row[src_pos].strip()
-            dst = row[dst_pos].strip()
-            if not src or not dst:
-                raise FlowDataError(f"{path}: row {row_num} has an empty endpoint")
-            values = tuple(
-                _parse_cell(row[pos].strip(), feature_cols[k], row_num, strict)
-                for k, pos in enumerate(feat_pos)
-            )
-            flows.append(FlowRecord(src, dst, values))
+        rows = list(reader)
 
-    if not flows:
+    # rows up to the first malformed one; cells of earlier rows are still
+    # checked first, so errors come in file order. A row may stop short of
+    # trailing columns that are not read (exporters may leave out the label)
+    needed = max(src_pos, dst_pos, *feat_pos) + 1
+    row_nums, kept, fault = [], [], None
+    for row_num, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if not needed <= len(row) <= len(header):
+            fault = f"{path}: row {row_num} has {len(row)} cells; the header has {len(header)}"
+            break
+        row_nums.append(row_num)
+        kept.append(row)
+    columns = list(zip(*kept)) or [()] * len(header)
+    srcs = list(map(str.strip, columns[src_pos]))
+    dsts = list(map(str.strip, columns[dst_pos]))
+    if not (all(srcs) and all(dsts)):
+        n = next(i for i, ends in enumerate(zip(srcs, dsts)) if not all(ends))
+        fault = f"{path}: row {row_nums[n]} has an empty endpoint"
+        columns = [col[:n] for col in columns]
+
+    features = []
+    for pos in feat_pos:
+        try:
+            features.append(list(map(float, columns[pos])))
+        except ValueError:
+            features.append(list(map(_to_float, columns[pos])))
+    replaced = []
+    for i, k in np.argwhere(~np.isfinite(np.array(features, dtype=np.float64).T)).tolist():
+        raw = columns[feat_pos[k]][i].strip()
+        if strict:
+            raise NonNumericFeature(f"{path}: row {row_nums[i]}, column {feature_cols[k]!r}: "
+                                    f"cannot parse {raw!r} as a finite number")
+        features[k][i] = 0.0
+        replaced.append((row_nums[i], feature_cols[k], raw))
+    if fault is not None:
+        raise FlowDataError(fault)
+    if replaced:
+        examples = "; ".join(f"row {r}, column {c!r}: {v!r}" for r, c, v in replaced[:3])
+        logger.warning("%s: replacing %d non-finite or non-numeric cells with 0.0 (%s%s)",
+                       path, len(replaced), examples, "; ..." if len(replaced) > 3 else "")
+
+    if not srcs:
         raise EmptySample(f"{path}: no data rows")
+    values = zip(*features) if features else repeat(())
+    flows = tuple(map(FlowRecord, srcs, dsts, values))
     sid = sample_id if sample_id is not None else os.path.splitext(os.path.basename(path))[0]
-    return SampleFlows(sid, tuple(flows), labels), tuple(feature_cols)
+    return SampleFlows(sid, flows, labels), tuple(feature_cols)
 
 
 def parse_flow_file(path, schema: ColumnSchema, sample_id: str | None = None,

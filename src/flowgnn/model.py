@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGraph, ShapeMismatch
-from .graphs import FlowGraph
+from .graphs import FlowGraph, check_edge_indices
 from .nn import (
     EVAL,
     TRAIN,
@@ -80,18 +80,16 @@ def propagation_matrices(graph: FlowGraph) -> PropagationPair:
 
     Each node's degree counts every incident edge once (a self-loop too),
     plus one virtual self-loop that exists only for normalization; the
-    weight of edge (u, v) is 1/sqrt((deg(u)+1) * (deg(v)+1)).
+    weight of edge (u, v) is 1/sqrt((deg(u)+1) * (deg(v)+1)). An edge end
+    outside [0, num_nodes) raises FlowDataError naming the sample.
     """
     if graph.num_edges == 0:
         raise EmptyGraph(f"graph {graph.sample_id!r} has no edges")
     src = np.array([e[0] for e in graph.edges], dtype=np.intp)
     dst = np.array([e[1] for e in graph.edges], dtype=np.intp)
-    degree = np.zeros(graph.num_nodes)
-    for s, t in graph.edges:
-        degree[s] += 1.0
-        if t != s:
-            degree[t] += 1.0
-    d_tilde = degree + 1.0
+    ends = np.concatenate([src, dst[dst != src]])  # a self-loop counts once
+    check_edge_indices(graph.sample_id, ends, graph.num_nodes)
+    d_tilde = np.bincount(ends, minlength=graph.num_nodes) + 1.0
     weights = 1.0 / np.sqrt(d_tilde[src] * d_tilde[dst])
     return PropagationPair(graph.num_nodes, graph.num_edges, src, dst, weights)
 

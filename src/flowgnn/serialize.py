@@ -14,13 +14,30 @@ from typing import Any, IO
 import numpy as np
 
 
+def _format_finite(x: float) -> str:
+    if x.is_integer() and abs(x) < 1e16:
+        # keep e.g. 2.0 readable instead of scientific notation
+        return repr(x)
+    return format(x, ".17g")
+
+
 def format_float(x: float) -> str:
     if x != x or math.isinf(x):
         raise ValueError(f"non-finite value cannot be serialized: {x!r}")
-    if x == int(x) and abs(x) < 1e16:
-        # keep e.g. 2.0 readable instead of scientific notation
-        return repr(float(x))
-    return format(x, ".17g")
+    return _format_finite(float(x))
+
+
+def _encode_leaves(values: list, text, out: list[str]) -> None:
+    """An ndarray's nested lists, one join per innermost list."""
+    if values and isinstance(values[0], list):
+        out.append("[")
+        for i, item in enumerate(values):
+            if i:
+                out.append(", ")
+            _encode_leaves(item, text, out)
+        out.append("]")
+    else:
+        out.append("[" + ", ".join(map(text, values)) + "]")
 
 
 def _encode(obj: Any, out: list[str]) -> None:
@@ -36,6 +53,13 @@ def _encode(obj: Any, out: list[str]) -> None:
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        finite = np.isfinite(obj)
+        if not finite.all():
+            format_float(float(obj[~finite][0]))  # raises, naming the value
+        _encode_leaves(obj.tolist(), _format_finite, out)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim:
+        _encode_leaves(obj.tolist(), str, out)
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from flowgnn.errors import EmptyInput, FlowDataError
 from flowgnn.graphs import (
     STRUCTURAL_DIM,
+    _betweenness,
+    _undirected_adjacency,
     aggregate_edge_features,
     build_flow_graph,
     combined_features,
@@ -19,6 +21,7 @@ from flowgnn.graphs import (
     write_graphs_jsonl,
 )
 from flowgnn.ingest import FlowRecord, LabelTriple, SampleFlows
+from flowgnn.synth import SynthSpec, synth_generate
 
 from .conftest import make_graph, make_sample, random_connected_graph
 
@@ -40,6 +43,106 @@ def moments_oracle(column):
     skew = m3 / std ** 3 if std ** 3 > 0.0 else 0.0
     kurt = m4 / m2 ** 2 - 3.0 if m2 ** 2 > 0.0 else 0.0
     return mean, median, std, skew, kurt
+
+
+def reference_aggregate(matrix):
+    """The numpy-reduction aggregation: axis-0 means and np.median."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    mean = matrix.mean(axis=0)
+    median = np.median(matrix, axis=0)
+    constant = matrix.max(axis=0) == matrix.min(axis=0)
+    centered = matrix - mean
+    m2 = (centered ** 2).mean(axis=0)
+    m3 = (centered ** 3).mean(axis=0)
+    m4 = (centered ** 4).mean(axis=0)
+    std = np.zeros_like(mean)
+    skew = np.zeros_like(mean)
+    kurt = np.zeros_like(mean)
+    ok = ~constant & (m2 > 0.0)
+    std[ok] = np.sqrt(m2[ok])
+    ok3 = ok & (std ** 3 > 0.0)
+    ok4 = ok & (m2 ** 2 > 0.0)
+    skew[ok3] = m3[ok3] / std[ok3] ** 3
+    kurt[ok4] = m4[ok4] / m2[ok4] ** 2 - 3.0
+    return np.concatenate([mean, median, std, skew, kurt])
+
+
+def reference_edge_rows(sample):
+    """The per-edge loop: nodes, edges and edge rows, one aggregation per pair."""
+    node_index, edge_index, edge_rows = {}, {}, []
+    for flow in sample.flows:
+        for ip in (flow.src_ip, flow.dst_ip):
+            if ip not in node_index:
+                node_index[ip] = len(node_index)
+        key = (node_index[flow.src_ip], node_index[flow.dst_ip])
+        if key not in edge_index:
+            edge_index[key] = len(edge_rows)
+            edge_rows.append([])
+        edge_rows[edge_index[key]].append(flow.features)
+    rows = np.vstack([reference_aggregate(r) for r in edge_rows])
+    return tuple(node_index), tuple(edge_index), rows
+
+
+def reference_betweenness(adj):
+    """Brandes accumulation with numpy float64 scalars for every count."""
+    n = len(adj)
+    centrality = np.zeros(n)
+    for source in range(n):
+        stack = []
+        preds = [[] for _ in range(n)]
+        sigma = np.zeros(n)
+        sigma[source] = 1.0
+        dist = np.full(n, -1)
+        dist[source] = 0
+        queue = [source]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = np.zeros(n)
+        for w in reversed(stack):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != source:
+                centrality[w] += delta[w]
+    return centrality / 2.0
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def flow_columns(draw, k):
+    """One feature column of k cells: free, constant or a few ulps wide."""
+    kind = draw(st.sampled_from(("free", "constant", "near_constant")))
+    if kind == "free":
+        return draw(st.lists(finite, min_size=k, max_size=k))
+    base = draw(finite)
+    if kind == "constant":
+        return [base] * k
+    up = float(np.nextafter(base, np.inf))
+    return [up if bump else base for bump in draw(st.lists(st.booleans(), min_size=k, max_size=k))]
+
+
+@st.composite
+def flow_samples(draw):
+    """Few endpoints, so pairs repeat; self-loops and one-flow edges occur."""
+    hosts = draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, hosts - 1), st.integers(0, hosts - 1)),
+                          min_size=1, max_size=40))
+    d = draw(st.integers(1, 4))
+    columns = [draw(flow_columns(len(pairs))) for _ in range(d)]
+    flows = tuple(FlowRecord(f"h{s}", f"h{t}", tuple(row))
+                  for (s, t), row in zip(pairs, zip(*columns)))
+    return SampleFlows("s", flows, None)
 
 
 def aggregate_oracle(matrix):
@@ -94,6 +197,24 @@ class TestAggregateEdgeFeatures:
         want = aggregate_oracle(rows)
         np.testing.assert_allclose(got, want, atol=1e-6, rtol=1e-9)
 
+    @given(st.integers(1, 60).flatmap(
+        lambda k: st.lists(flow_columns(k), min_size=1, max_size=5)))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_exact_against_numpy_reference(self, columns):
+        # C order: numpy sums an axis-0 mean row by row only when rows are contiguous
+        matrix = np.ascontiguousarray(np.array(columns).T)
+        got = aggregate_edge_features(matrix).tobytes()
+        assert got == reference_aggregate(matrix).tobytes()
+        assert got == aggregate_edge_features(np.asfortranarray(matrix)).tobytes()
+
+    @pytest.mark.parametrize("column", [
+        [-0.0], [-0.0, -0.0], [-0.0, -0.0, 1.0], [0.0, -0.0, -0.0, 2.0], [-0.0, 0.0],
+    ])
+    def test_signed_zeros_match_numpy(self, column):
+        matrix = np.column_stack([column, column])
+        got = aggregate_edge_features(matrix).tobytes()
+        assert got == reference_aggregate(matrix).tobytes()
+
     def test_always_finite_even_near_constant(self):
         out = aggregate_edge_features(np.array([[0.1], [0.1], [0.1]]))
         assert np.array_equal(out[2:], [0.0, 0.0, 0.0])
@@ -119,6 +240,19 @@ class TestBuildFlowGraph:
         graph = build_flow_graph(sample)
         assert graph.num_nodes == 1
         assert graph.edges == ((0, 0),)
+
+    @given(flow_samples())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_rows_bit_exact(self, sample):
+        graph = build_flow_graph(sample)
+        nodes, edges, rows = reference_edge_rows(sample)
+        assert graph.nodes == nodes
+        assert graph.edges == edges
+        assert graph.edge_features.tobytes() == rows.tobytes()
+        for i, (s, t) in enumerate(graph.edges):
+            pair = (graph.nodes[s], graph.nodes[t])
+            flows = np.array([f.features for f in sample.flows if (f.src_ip, f.dst_ip) == pair])
+            assert graph.edge_features[i].tobytes() == aggregate_edge_features(flows).tobytes()
 
     def test_flow_order_invariance(self, rng):
         pairs = [("a", "b"), ("b", "c"), ("a", "b"), ("c", "a"), ("b", "c"), ("a", "b")]
@@ -233,6 +367,22 @@ class TestStructuralFeatures:
             ])
             expected = aggregate_edge_features(oracle_locals)
             np.testing.assert_allclose(feats.values[2:], expected, atol=1e-9)
+
+    def test_betweenness_bit_exact_against_numpy_scalars(self):
+        adjs = []
+        sizes = ((4, 12, 8), (35, 35, 3), (240, 240, 2))
+        for k, (lo, hi, count) in enumerate(sizes):
+            spec = SynthSpec(class_sizes=(count - count // 2, count // 2),
+                             min_nodes=lo, max_nodes=hi)
+            adjs += [_undirected_adjacency(build_flow_graph(sample))
+                     for sample in synth_generate(spec, seed=k).samples]
+        # many shortest paths per pair, so path counts and dependencies are
+        # not whole numbers and their rounding shows
+        others = [nx.convert_node_labels_to_integers(nx.grid_2d_graph(7, 9)),
+                  nx.gnp_random_graph(60, 0.1, seed=3), nx.gnp_random_graph(120, 0.05, seed=4)]
+        adjs += [[set(g.neighbors(v)) for v in range(g.number_of_nodes())] for g in others]
+        for adj in adjs:
+            assert np.array_equal(_betweenness(adj), reference_betweenness(adj))
 
     def test_relabeling_equivariance(self, rng):
         from .conftest import permute_graph

@@ -5,6 +5,7 @@ import pytest
 from flowgnn import serialize
 from flowgnn.errors import (
     EmptySample,
+    FlowDataError,
     InconsistentDimension,
     MissingColumn,
     NonNumericFeature,
@@ -59,6 +60,47 @@ class TestParseFlowFile:
             sample = parse_flow_file(path, SCHEMA, strict=False)
         assert sample.flows[0].features == (0.0, 1.0)
         assert any("replacing" in rec.message for rec in caplog.records)
+
+    def test_lenient_logs_one_warning_per_file(self, tmp_path, caplog):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["src", "dst", "f1", "f2"],
+                  [["a", "b", "NaN", 1.0], ["b", "a", "x", "inf"], ["a", "b", 2.0, 3.0],
+                   ["b", "c", "", -1.0], ["c", "a", 1.0, "-Infinity"]])
+        with caplog.at_level("WARNING"):
+            sample = parse_flow_file(path, SCHEMA, strict=False)
+        assert [f.features for f in sample.flows] == [
+            (0.0, 1.0), (0.0, 0.0), (2.0, 3.0), (0.0, -1.0), (1.0, 0.0)]
+        warnings = [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "replacing 5 " in warnings[0]
+        assert "row 1, column 'f1': 'NaN'" in warnings[0]
+        assert "row 2, column 'f2': 'inf'" in warnings[0]
+        assert "row 4" not in warnings[0]
+
+    @pytest.mark.parametrize("row, message", [
+        (["b", "a", 2.0], "row 2 has 3 cells; the header has 4"),
+        (["b", "a", 2.0, 3.0, 4.0], "row 2 has 5 cells; the header has 4"),
+        (["b", " ", 2.0, 3.0], "row 2 has an empty endpoint"),
+    ], ids=["short_row", "long_row", "empty_endpoint"])
+    def test_malformed_row_names_file_and_row(self, tmp_path, row, message):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["src", "dst", "f1", "f2"], [["a", "b", 1.0, 1.0], row, ["a", "b", 5, 6]])
+        for strict in (True, False):
+            with pytest.raises(FlowDataError, match=f"a.csv: {message}"):
+                parse_flow_file(path, SCHEMA, strict=strict)
+
+    def test_row_may_omit_trailing_unread_columns(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["src", "dst", "f1", "label"], [["a", "b", 1.0], ["b", "a", 2.0, "x"]])
+        schema = ColumnSchema(src_ip="src", dst_ip="dst", label=("label",))
+        sample = parse_flow_file(path, schema)
+        assert [f.features for f in sample.flows] == [(1.0,), (2.0,)]
+
+    def test_bad_cell_before_malformed_row_reported_first(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["src", "dst", "f1"], [["a", "b", "zzz"], ["", "b", 1.0]])
+        with pytest.raises(NonNumericFeature, match="row 1"):
+            parse_flow_file(path, SCHEMA, strict=True)
 
     def test_infinity_and_garbage_cells(self, tmp_path):
         path = tmp_path / "a.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowgnn.errors import EmptyGraph, ShapeMismatch
+from flowgnn.errors import EmptyGraph, FlowDataError, ShapeMismatch
 from flowgnn.graphs import FlowGraph
 from flowgnn.model import (
     FlowGraphNetwork,
@@ -68,6 +68,23 @@ class TestPropagationMatrices:
         graph = FlowGraph("empty", ("a",), (), np.zeros((0, 2)), ("c0", "c1"), None)
         with pytest.raises(EmptyGraph):
             propagation_matrices(graph)
+
+    @pytest.mark.parametrize("bad_edge", [(-1, 1), (0, 3)], ids=["negative", "past_nodes"])
+    def test_out_of_range_edge_rejected_before_batching(self, bad_edge):
+        nodes = ("a", "b", "c")
+        first = FlowGraph("first", nodes, ((0, 1), (1, 2)), np.ones((2, 2)), ("c0", "c1"), None)
+        second = FlowGraph("second", nodes, ((0, 2), bad_edge), np.ones((2, 2)),
+                           ("c0", "c1"), None)
+        prepared = prepare_graph(first)
+        with pytest.raises(FlowDataError, match="'second'.*edge index"):
+            make_batch([prepared, prepare_graph(second)])
+
+    def test_degrees_count_self_loops_once(self):
+        graph = make_graph([(0, 0), (0, 1), (1, 2), (2, 1)])
+        prop = propagation_matrices(graph)
+        d_tilde = np.array([3.0, 4.0, 3.0])
+        want = 1.0 / np.sqrt(d_tilde[prop.src] * d_tilde[prop.dst])
+        assert prop.weights.tobytes() == want.tobytes()
 
 
 def build(variant, in_dim=4, h=5, layers=1, seed=0, num_classes=3, pool="mean",
