@@ -210,22 +210,6 @@ def _undirected_adjacency(graph: FlowGraph) -> list[set[int]]:
     return adj
 
 
-def _local_clustering(adj: list[set[int]]) -> np.ndarray:
-    coeffs = np.zeros(len(adj))
-    for v, neigh in enumerate(adj):
-        k = len(neigh)
-        if k < 2:
-            continue
-        links = 0
-        neigh_list = list(neigh)
-        for i, u in enumerate(neigh_list):
-            for w in neigh_list[i + 1:]:
-                if w in adj[u]:
-                    links += 1
-        coeffs[v] = 2.0 * links / (k * (k - 1))
-    return coeffs
-
-
 def _betweenness(adj: list[set[int]]) -> np.ndarray:
     """Exact unnormalized betweenness centrality (Brandes accumulation).
 
@@ -264,22 +248,6 @@ def _betweenness(adj: list[set[int]]) -> np.ndarray:
     return np.array(centrality) / 2.0
 
 
-def _global_clustering(adj: list[set[int]]) -> float:
-    degrees = np.array([len(a) for a in adj])
-    triplets = float((degrees * (degrees - 1) // 2).sum())
-    if triplets == 0:
-        return 0.0
-    closed = 0
-    for v, neigh in enumerate(adj):
-        neigh_list = list(neigh)
-        for i, u in enumerate(neigh_list):
-            for w in neigh_list[i + 1:]:
-                if w in adj[u]:
-                    closed += 1
-    # closed counts each triangle once per apex, i.e. 3 * triangles
-    return closed / triplets
-
-
 def _assortativity(adj: list[set[int]]) -> float:
     """Pearson correlation of endpoint degrees over undirected edges,
     with each edge contributing both orientations; 0 when undefined."""
@@ -311,19 +279,28 @@ def structural_features(graph: FlowGraph) -> StructuralFeatures:
     """
     adj = _undirected_adjacency(graph)
     n = graph.num_nodes
-    degrees = np.array([len(a) for a in adj], dtype=np.float64)
-    clustering = _local_clustering(adj)
+    degrees = np.array([len(a) for a in adj], dtype=np.int64)
+    # links[v]: edges among v's neighbours, i.e. triangles through v
+    links = np.array([sum(len(adj[u] & neigh) for u in neigh) // 2 for neigh in adj],
+                     dtype=np.int64)
+    neighbor_degrees = np.array([sum(len(adj[u]) for u in neigh) for neigh in adj],
+                                dtype=np.int64)
+    has_pairs = degrees >= 2
+    clustering = np.zeros(n)
+    clustering[has_pairs] = 2.0 * links[has_pairs] / (
+        degrees[has_pairs] * (degrees[has_pairs] - 1))
+    triplets = float((degrees * (degrees - 1) // 2).sum())
+    global_clustering = int(links.sum()) / triplets if triplets else 0.0
     betweenness = _betweenness(adj)
 
-    two_hop = np.zeros(n)
     avg_neighbor_degree = np.zeros(n)
+    has_neighbors = degrees > 0
+    avg_neighbor_degree[has_neighbors] = neighbor_degrees[has_neighbors] / degrees[has_neighbors]
+    two_hop = np.zeros(n)
     avg_neighbor_clustering = np.zeros(n)
-    egonet_edges = np.zeros(n)
-    egonet_boundary = np.zeros(n)
     for v in range(n):
         neigh = adj[v]
         if neigh:
-            avg_neighbor_degree[v] = float(np.mean([degrees[u] for u in neigh]))
             avg_neighbor_clustering[v] = float(np.mean([clustering[u] for u in neigh]))
         second = set()
         for u in neigh:
@@ -331,18 +308,10 @@ def structural_features(graph: FlowGraph) -> StructuralFeatures:
         second.discard(v)
         second -= neigh
         two_hop[v] = len(second)
-        ego = neigh | {v}
-        inside = 0
-        boundary = 0
-        for u in ego:
-            for w in adj[u]:
-                if w in ego:
-                    if w > u:
-                        inside += 1
-                else:
-                    boundary += 1
-        egonet_edges[v] = inside
-        egonet_boundary[v] = boundary
+    # the egonet of v is v and its neighbours: its edges are v's own plus the
+    # links among the neighbours; its boundary is every other edge end
+    egonet_edges = degrees + links
+    egonet_boundary = degrees + neighbor_degrees - 2 * egonet_edges
 
     locals_matrix = np.column_stack([
         degrees,
@@ -355,7 +324,7 @@ def structural_features(graph: FlowGraph) -> StructuralFeatures:
         betweenness,
     ])
     values = np.concatenate([
-        [_global_clustering(adj), _assortativity(adj)],
+        [global_clustering, _assortativity(adj)],
         aggregate_edge_features(locals_matrix),
     ])
     names = GLOBAL_FEATURES + aggregate_feature_names(LOCAL_FEATURES)

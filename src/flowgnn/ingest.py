@@ -121,18 +121,6 @@ class ColumnSchema:
             features=None if features is None else tuple(features),
         )
 
-    def to_dict(self) -> dict:
-        out: dict = {"src_ip": self.src_ip, "dst_ip": self.dst_ip}
-        for key in ("src_port", "dst_port", "flow_id", "timestamp"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.label:
-            out["label"] = list(self.label)
-        if self.features is not None:
-            out["features"] = list(self.features)
-        return out
-
     def non_feature_columns(self) -> set[str]:
         cols = {self.src_ip, self.dst_ip}
         for key in ("src_port", "dst_port", "flow_id", "timestamp"):

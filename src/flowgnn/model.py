@@ -111,46 +111,43 @@ def prepare_graph(graph: FlowGraph, x: np.ndarray | None = None) -> PreparedGrap
 
 @dataclass(frozen=True, eq=False)
 class GraphBatch:
-    """Disjoint union of graphs as one block-diagonal system."""
+    """Disjoint union of graphs as one block-diagonal system.
+
+    Graph i owns nodes node_offsets[i]:node_offsets[i + 1] and edge rows
+    edge_offsets[i]:edge_offsets[i + 1]; both offset arrays have length
+    num_graphs + 1 and start at 0. src and dst index the whole batch.
+    """
 
     x: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     weights: np.ndarray
-    num_nodes: int
-    node_segments: tuple[tuple[int, int], ...]
-    edge_segments: tuple[tuple[int, int], ...]
+    node_offsets: np.ndarray
+    edge_offsets: np.ndarray
 
     @property
     def num_graphs(self) -> int:
-        return len(self.node_segments)
+        return len(self.node_offsets) - 1
+
+    @property
+    def num_nodes(self) -> int:
+        return int(self.node_offsets[-1])
 
 
 def make_batch(items: list[PreparedGraph]) -> GraphBatch:
     if not items:
         raise EmptyGraph("cannot batch zero graphs")
-    xs, srcs, dsts, ws = [], [], [], []
-    node_segments, edge_segments = [], []
-    node_off = 0
-    edge_off = 0
-    for item in items:
-        prop = item.prop
-        xs.append(item.x)
-        srcs.append(prop.src + node_off)
-        dsts.append(prop.dst + node_off)
-        ws.append(prop.weights)
-        node_segments.append((node_off, node_off + prop.num_nodes))
-        edge_segments.append((edge_off, edge_off + prop.num_edges))
-        node_off += prop.num_nodes
-        edge_off += prop.num_edges
+    props = [item.prop for item in items]
+    node_offsets = np.cumsum([0] + [p.num_nodes for p in props])
+    edge_offsets = np.cumsum([0] + [p.num_edges for p in props])
+    shift = np.repeat(node_offsets[:-1], np.diff(edge_offsets))
     return GraphBatch(
-        x=np.vstack(xs),
-        src=np.concatenate(srcs),
-        dst=np.concatenate(dsts),
-        weights=np.concatenate(ws),
-        num_nodes=node_off,
-        node_segments=tuple(node_segments),
-        edge_segments=tuple(edge_segments),
+        x=np.vstack([item.x for item in items]),
+        src=np.concatenate([p.src for p in props]) + shift,
+        dst=np.concatenate([p.dst for p in props]) + shift,
+        weights=np.concatenate([p.weights for p in props]),
+        node_offsets=node_offsets,
+        edge_offsets=edge_offsets,
     )
 
 
@@ -177,6 +174,40 @@ class _Block:
         if self.bn is not None:
             params += self.bn.parameters()
         return params
+
+
+@dataclass(frozen=True, eq=False)
+class _Forward:
+    """One forward pass over a batch: its propagation weights, mode and
+    dropout stream.
+
+    Each message-passing step sends rows through the incoming matrix
+    (w_in at dst) and then the outgoing one (w_out at src), concatenates
+    both results with any skip inputs and applies one block.
+    """
+
+    batch: GraphBatch
+    w_in: np.ndarray
+    w_out: np.ndarray
+    mode: str
+    rng: object
+    dropout_p: float
+
+    def apply(self, block: _Block, x: Tensor) -> Tensor:
+        return block(x, self.mode, self.rng, self.dropout_p)
+
+    def to_nodes(self, block: _Block, e: Tensor, *skip: Tensor) -> Tensor:
+        """Edge rows to node rows: what each node receives, then sends."""
+        n = self.batch.num_nodes
+        return self.apply(block, concat_cols([scatter_rows(e, self.batch.dst, self.w_in, n),
+                                              scatter_rows(e, self.batch.src, self.w_out, n),
+                                              *skip]))
+
+    def to_edges(self, block: _Block, h: Tensor, *skip: Tensor) -> Tensor:
+        """Node rows to edge rows: each edge's destination, then source."""
+        return self.apply(block, concat_cols([gather_rows(h, self.batch.dst, self.w_in),
+                                              gather_rows(h, self.batch.src, self.w_out),
+                                              *skip]))
 
 
 class Network:
@@ -323,78 +354,43 @@ class FlowGraphNetwork(Network):
 
     # -- forward ------------------------------------------------------------
 
-    def _coeffs(self, batch: GraphBatch, mode: str, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Per-forward propagation weights; dropout masks each matrix once."""
+    def _forward(self, batch: GraphBatch, mode: str, rng) -> _Forward:
+        """Dropout masks each propagation matrix once per forward pass."""
         w_in = dropout_values(batch.weights, self.dropout_p, rng, mode)
         w_out = dropout_values(batch.weights, self.dropout_p, rng, mode)
-        return w_in, w_out
+        return _Forward(batch, w_in, w_out, mode, rng, self.dropout_p)
 
     def encode(self, batch: GraphBatch, mode: str = EVAL, rng=None,
-               coeffs: tuple[np.ndarray, np.ndarray] | None = None) -> dict[str, Tensor]:
+               fwd: _Forward | None = None) -> dict[str, Tensor]:
         if batch.x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"batch width {batch.x.shape[1]} != model input {self.in_dim}")
-        w_in, w_out = coeffs if coeffs is not None else self._coeffs(batch, mode, rng)
-        n = batch.num_nodes
-        x = Tensor(batch.x)
-        p = self.dropout_p
-
-        e0 = self.f1(x, mode, rng, p)
-        h0 = self.f2(concat_cols([
-            scatter_rows(e0, batch.dst, w_in, n),
-            scatter_rows(e0, batch.src, w_out, n),
-        ]), mode, rng, p)
-        out = {"e0": e0, "h0": h0}
+        fwd = fwd if fwd is not None else self._forward(batch, mode, rng)
+        e0 = fwd.apply(self.f1, Tensor(batch.x))
+        h0 = fwd.to_nodes(self.f2, e0)
+        out = {"e0": e0, "h0": h0, "h_final": h0}
         if self.num_layers == 2:
-            e1 = self.f3(concat_cols([
-                gather_rows(h0, batch.dst, w_in),
-                gather_rows(h0, batch.src, w_out),
-                e0,
-            ]), mode, rng, p)
-            h1 = self.f4(concat_cols([
-                scatter_rows(e1, batch.dst, w_in, n),
-                scatter_rows(e1, batch.src, w_out, n),
-                h0,
-            ]), mode, rng, p)
-            out["e1"] = e1
-            out["h1"] = h1
-        out["h_final"] = out["h1"] if self.num_layers == 2 else h0
+            e1 = fwd.to_edges(self.f3, h0, e0)
+            h1 = fwd.to_nodes(self.f4, e1, h0)
+            out.update(e1=e1, h1=h1, h_final=h1)
         return out
 
     def decode(self, batch: GraphBatch, encoded: dict[str, Tensor],
-               mode: str = EVAL, rng=None,
-               coeffs: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+               mode: str = EVAL, rng=None, fwd: _Forward | None = None) -> Tensor:
         if self.variant != "ae":
             raise ValueError("decode is only defined for the autoencoder variant")
-        w_in, w_out = coeffs if coeffs is not None else self._coeffs(batch, mode, rng)
-        n = batch.num_nodes
-        h_in = encoded["h_final"]
-        p = self.dropout_p
+        fwd = fwd if fwd is not None else self._forward(batch, mode, rng)
+        h = encoded["h_final"]
         if self.num_layers == 2:
-            e2 = self.f5(concat_cols([
-                gather_rows(h_in, batch.dst, w_in),
-                gather_rows(h_in, batch.src, w_out),
-            ]), mode, rng, p)
-            h2 = self.f6(concat_cols([
-                scatter_rows(e2, batch.dst, w_in, n),
-                scatter_rows(e2, batch.src, w_out, n),
-                h_in,
-            ]), mode, rng, p)
-            e3 = self.f7(concat_cols([
-                gather_rows(h2, batch.dst, w_in),
-                gather_rows(h2, batch.src, w_out),
-                e2,
-            ]), mode, rng, p)
+            e2 = fwd.to_edges(self.f5, h)
+            h2 = fwd.to_nodes(self.f6, e2, h)
+            e3 = fwd.to_edges(self.f7, h2, e2)
         else:
-            e3 = self.f7(concat_cols([
-                gather_rows(h_in, batch.dst, w_in),
-                gather_rows(h_in, batch.src, w_out),
-            ]), mode, rng, p)
-        return self.f8(e3, mode, rng, p)
+            e3 = fwd.to_edges(self.f7, h)
+        return fwd.apply(self.f8, e3)
 
-    def pooled(self, batch: GraphBatch, mode: str = EVAL, rng=None,
-               coeffs=None) -> Tensor:
-        encoded = self.encode(batch, mode, rng, coeffs)
-        return segment_pool(encoded["h_final"], batch.node_segments, self.pool)
+    def pooled(self, batch: GraphBatch, mode: str = EVAL, rng=None) -> Tensor:
+        h = self.encode(batch, mode, rng)["h_final"]
+        return segment_pool(h, batch.node_offsets, self.pool)
 
     def embed(self, batch: GraphBatch) -> Tensor:
         return self.pooled(batch, EVAL)
@@ -411,26 +407,18 @@ class FlowGraphNetwork(Network):
 
     # -- losses and scores ----------------------------------------------------
 
-    def reconstruction_errors(self, batch: GraphBatch, mode: str = EVAL,
-                              rng=None) -> tuple[Tensor, np.ndarray]:
-        """Squared Frobenius reconstruction error per graph, edge-normalized."""
-        coeffs = self._coeffs(batch, mode, rng)
-        encoded = self.encode(batch, mode, rng, coeffs)
-        x_hat = self.decode(batch, encoded, mode, rng, coeffs)
+    def squared_errors(self, batch: GraphBatch, mode: str = EVAL, rng=None) -> Tensor:
+        """(X - Xhat)^2 entry by entry, from one encoder-decoder pass."""
+        fwd = self._forward(batch, mode, rng)
+        x_hat = self.decode(batch, self.encode(batch, mode, rng, fwd), mode, rng, fwd)
         diff = sub(Tensor(batch.x), x_hat)
-        sq = mul(diff, diff)
-        per_graph = np.empty(batch.num_graphs)
-        for i, (lo, hi) in enumerate(batch.edge_segments):
-            per_graph[i] = sq.data[lo:hi].sum() / (hi - lo)
-        return sq, per_graph
+        return mul(diff, diff)
 
     def ae_loss(self, batch: GraphBatch, mode: str = TRAIN, rng=None) -> Tensor:
         """(1/N) sum over graphs of ||X_i - Xhat_i||_F^2 / m_i."""
-        sq, _ = self.reconstruction_errors(batch, mode, rng)
-        row_weights = np.empty((batch.x.shape[0], 1))
-        for lo, hi in batch.edge_segments:
-            row_weights[lo:hi] = 1.0 / (batch.num_graphs * (hi - lo))
-        return sum_all(mul_const(sq, row_weights))
+        counts = np.diff(batch.edge_offsets)
+        row_weights = np.repeat(1.0 / (batch.num_graphs * counts), counts)[:, None]
+        return sum_all(mul_const(self.squared_errors(batch, mode, rng), row_weights))
 
     def oc_loss(self, batch: GraphBatch, mode: str = TRAIN, rng=None) -> Tensor:
         """Mean squared distance to the center plus L2 weight regularization."""
@@ -451,8 +439,10 @@ class FlowGraphNetwork(Network):
     def anomaly_scores(self, batch: GraphBatch) -> np.ndarray:
         """Higher = more anomalous; eval mode, no dropout."""
         if self.variant == "ae":
-            _, per_graph = self.reconstruction_errors(batch, EVAL)
-            return per_graph
+            # squared Frobenius reconstruction error per graph, edge-normalized
+            sq = self.squared_errors(batch, EVAL).data
+            ends = batch.edge_offsets
+            return np.array([sq[lo:hi].sum() / (hi - lo) for lo, hi in zip(ends, ends[1:])])
         if self.variant == "oc":
             return self._center_distances(batch)
         raise ValueError("anomaly scores are only defined for ae and oc variants")

@@ -8,7 +8,6 @@ from .tensor import (
     Tensor,
     add,
     concat_cols,
-    constant,
     cross_entropy,
     gather_rows,
     matmul,
@@ -21,7 +20,6 @@ from .tensor import (
     softmax_rows,
     sub,
     sum_all,
-    zero_grads,
 )
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "Tensor",
     "add",
     "concat_cols",
-    "constant",
     "cross_entropy",
     "dropout",
     "dropout_values",
@@ -52,5 +49,4 @@ __all__ = [
     "softmax_rows",
     "sub",
     "sum_all",
-    "zero_grads",
 ]

@@ -13,7 +13,7 @@ concat_cols cannot turn finite inputs into non-finite outputs and skip it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,16 +124,6 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.shape})"
-
-
-def zero_grads(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.grad = np.zeros_like(p.data)
-
-
-def constant(data) -> Tensor:
-    """A tensor that takes part in the tape but is never optimized."""
-    return Tensor(data)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, int]) -> Array:
@@ -259,6 +249,11 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return Tensor(out_data, (a,), backward)
 
 
+def _check_index(index: Array, n: int, op: str) -> None:
+    if len(index) and (index.min() < 0 or index.max() >= n):
+        raise ShapeMismatch(f"{op}: index outside [0, {n})")
+
+
 def _scatter_add(index: Array, values: Array, n_out: int) -> Array:
     """out[j] = sum of values[i] over the rows i with index[i] == j.
 
@@ -278,6 +273,7 @@ def scatter_rows(a: Tensor, index: Array, coeff: Array, n_out: int) -> Tensor:
     """
     if len(index) != a.shape[0] or len(coeff) != a.shape[0]:
         raise ShapeMismatch("scatter_rows: index/coeff length must match rows")
+    _check_index(index, n_out, "scatter_rows")
     out_data = _check_finite(_scatter_add(index, coeff[:, None] * a.data, n_out), "scatter_rows")
 
     def backward(g: Array):
@@ -288,8 +284,7 @@ def scatter_rows(a: Tensor, index: Array, coeff: Array, n_out: int) -> Tensor:
 
 def gather_rows(a: Tensor, index: Array, coeff: Array) -> Tensor:
     """out[i] = coeff[i] * a[index[i]]; the transpose of scatter_rows."""
-    if np.any(index >= a.shape[0]):
-        raise ShapeMismatch("gather_rows: index out of range")
+    _check_index(index, a.shape[0], "gather_rows")
     out_data = coeff[:, None] * a.data[index]
     _check_finite(out_data, "gather_rows")
 
@@ -299,40 +294,38 @@ def gather_rows(a: Tensor, index: Array, coeff: Array) -> Tensor:
     return Tensor(out_data, (a,), backward)
 
 
-def segment_pool(a: Tensor, segments: Sequence[tuple[int, int]], mode: str) -> Tensor:
-    """Pool contiguous row segments into one row each (mean, add or max)."""
-    cols = a.shape[1]
-    out_data = np.empty((len(segments), cols))
-    argmax = None
-    if mode == "mean":
-        for i, (lo, hi) in enumerate(segments):
-            out_data[i] = a.data[lo:hi].mean(axis=0)
-    elif mode == "add":
-        for i, (lo, hi) in enumerate(segments):
-            out_data[i] = a.data[lo:hi].sum(axis=0)
+def segment_pool(a: Tensor, offsets: Array, mode: str) -> Tensor:
+    """Pool contiguous row segments into one row each (mean, add or max).
+
+    Segment i holds rows offsets[i]:offsets[i + 1] and must not be empty.
+    Sums add rows in order, as ndarray.sum(axis=0) does. Max pooling sends
+    each column's gradient to the first maximal row of its segment.
+    """
+    offsets = np.asarray(offsets, dtype=np.intp)
+    counts = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != a.shape[0] or np.any(counts <= 0):
+        raise ShapeMismatch("segment_pool: offsets must rise from 0 to the row count")
+    starts = offsets[:-1]
+    cols = np.arange(a.shape[1])
+    if mode in ("mean", "add"):
+        out_data = _scatter_add(np.repeat(np.arange(len(counts)), counts), a.data, len(counts))
+        if mode == "mean":
+            out_data /= counts[:, None]
     elif mode == "max":
-        argmax = np.empty((len(segments), cols), dtype=np.intp)
-        for i, (lo, hi) in enumerate(segments):
-            block = a.data[lo:hi]
-            idx = block.argmax(axis=0)
-            argmax[i] = idx + lo
-            out_data[i] = block[idx, np.arange(cols)]
+        peak = np.repeat(np.maximum.reduceat(a.data, starts, axis=0), counts, axis=0)
+        rows = np.where(a.data == peak, np.arange(a.shape[0])[:, None], a.shape[0])
+        argmax = np.minimum.reduceat(rows, starts, axis=0)
+        out_data = a.data[argmax, cols]
     else:
         raise ValueError(f"unknown pooling mode {mode!r}")
     _check_finite(out_data, "segment_pool")
 
     def backward(g: Array):
-        grad = np.zeros_like(a.data)
-        if mode == "mean":
-            for i, (lo, hi) in enumerate(segments):
-                grad[lo:hi] = g[i] / (hi - lo)
-        elif mode == "add":
-            for i, (lo, hi) in enumerate(segments):
-                grad[lo:hi] = g[i]
-        else:
-            for i in range(len(segments)):
-                grad[argmax[i], np.arange(cols)] += g[i]
-        return (grad,)
+        if mode == "max":
+            grad = np.zeros_like(a.data)
+            grad[argmax, cols] = g
+            return (grad,)
+        return (np.repeat(g / counts[:, None] if mode == "mean" else g, counts, axis=0),)
 
     return Tensor(out_data, (a,), backward)
 

@@ -261,7 +261,8 @@ class TestHeads:
 def _ae_loss_with_reconstruction(model, batch, x_hat):
     """ae_loss value given a forced reconstruction matrix."""
     per_graph = []
-    for lo, hi in batch.edge_segments:
+    ends = batch.edge_offsets
+    for lo, hi in zip(ends, ends[1:]):
         per_graph.append(((batch.x[lo:hi] - x_hat[lo:hi]) ** 2).sum() / (hi - lo))
     return float(np.mean(per_graph))
 
@@ -368,4 +369,6 @@ class TestBatching:
         total_edges = sum(g.num_edges for g in graphs)
         assert batch.num_nodes == total_nodes
         assert batch.x.shape[0] == total_edges
-        assert batch.node_segments[-1][1] == total_nodes
+        assert batch.node_offsets.tolist() == [0] + np.cumsum(
+            [g.num_nodes for g in graphs]).tolist()
+        assert batch.edge_offsets[-1] == total_edges

@@ -153,10 +153,42 @@ def test_scatter_gather_are_transposes(rng):
 
 def test_segment_pool_modes():
     x = Tensor([[1.0, 5.0], [3.0, 1.0], [10.0, 10.0]])
-    segs = [(0, 2), (2, 3)]
+    segs = [0, 2, 3]
     assert np.allclose(segment_pool(x, segs, "mean").data, [[2.0, 3.0], [10.0, 10.0]])
     assert np.allclose(segment_pool(x, segs, "add").data, [[4.0, 6.0], [10.0, 10.0]])
     assert np.allclose(segment_pool(x, segs, "max").data, [[3.0, 5.0], [10.0, 10.0]])
+    with pytest.raises(ShapeMismatch, match="segment_pool"):
+        segment_pool(x, [0, 2], "mean")  # offsets stop short of the last row
+
+
+@pytest.mark.parametrize("mode,reduce", [("mean", np.mean), ("add", np.sum), ("max", np.max)])
+def test_segment_pool_matches_per_segment_reductions(rng, mode, reduce):
+    x = rng.normal(size=(20, 4))
+    offsets = [0, 1, 7, 12, 20]
+    expected = np.vstack([reduce(x[lo:hi], axis=0) for lo, hi in zip(offsets, offsets[1:])])
+    assert np.array_equal(segment_pool(Tensor(x), offsets, mode).data, expected)
+
+
+def test_segment_pool_max_ties_send_gradient_to_first_row():
+    # graph 0 ties on rows 1 and 2 (column 0) and rows 0 and 2 (column 1);
+    # graph 1 ties on all three rows of column 0
+    x = Parameter([[1.0, 4.0], [3.0, 2.0], [3.0, 4.0],
+                   [7.0, 0.0], [7.0, 5.0], [7.0, 5.0]], "x")
+    pooled = segment_pool(x, [0, 3, 6], "max")
+    assert np.array_equal(pooled.data, [[3.0, 4.0], [7.0, 5.0]])
+    sum_all(mul_const(pooled, [[1.0, 2.0], [3.0, 4.0]])).backward()
+    assert np.array_equal(x.grad, [[0.0, 2.0], [1.0, 0.0], [0.0, 0.0],
+                                   [3.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
+
+
+def test_gather_rows_rejects_negative_index():
+    with pytest.raises(ShapeMismatch, match="gather_rows"):
+        gather_rows(Tensor(np.ones((3, 2))), np.array([-1]), np.array([1.0]))
+
+
+def test_scatter_rows_rejects_index_past_output():
+    with pytest.raises(ShapeMismatch, match="scatter_rows"):
+        scatter_rows(Tensor(np.ones((1, 2))), np.array([5]), np.array([1.0]), 3)
 
 
 def test_concat_cols_backward(rng):
@@ -183,7 +215,7 @@ def test_gradcheck_composite_expression(seed):
         agg = scatter_rows(h, index, coeff, 4)
         gat = gather_rows(agg, index, coeff)
         stacked = concat_cols([gat, h])
-        pooled = segment_pool(matmul(stacked, w2), [(0, 3), (3, 6)], "mean")
+        pooled = segment_pool(matmul(stacked, w2), [0, 3, 6], "mean")
         return add(scale(sum_all(mul(pooled, pooled)), 0.5),
                    cross_entropy(pooled, [0, 2]))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowgnn import serialize
 from flowgnn.graphs import build_flow_graph
 from flowgnn.synth import SynthSpec, synth_generate
 from flowgnn.training import (
@@ -197,6 +198,14 @@ class TestProtocol:
         b = run_protocol(spec, graphs, config=quick_config(max_epochs=10), n_repeats=2)
         assert a.report.per_seed == b.report.per_seed
         assert a.runs == b.runs
+
+    def test_workers_give_identical_report(self, small_task):
+        _, graphs, _ = small_task
+        spec = ProtocolSpec(task="binary", variant="clf", quota=10, val_fraction=0.2)
+        config = quick_config(max_epochs=5)
+        serial = run_protocol(spec, graphs, config=config, n_repeats=2, workers=1)
+        parallel = run_protocol(spec, graphs, config=config, n_repeats=2, workers=2)
+        assert serialize.dumps(parallel.to_dict()) == serialize.dumps(serial.to_dict())
 
     def test_unsupervised_task(self, small_task):
         _, graphs, _ = small_task
