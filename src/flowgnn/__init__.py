@@ -17,6 +17,7 @@ from .ingest import (
     ColumnSchema,
     FlowDataset,
     FlowRecord,
+    FlowTable,
     LabelTriple,
     SampleFlows,
     drop_metadata_columns,

@@ -111,16 +111,14 @@ def _write_feature_csv(path, ids, labels, matrix, names) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["sample_id", "binary", "category", "family", *names])
-        for i, sample_id in enumerate(ids):
-            triple = labels[i]
+        for sample_id, triple, cells in zip(ids, labels, serialize.format_rows(matrix)):
             row = [sample_id]
             if triple is None:
                 row += ["", "", ""]
             else:
                 row += [triple.binary, triple.category,
                         "" if triple.family is None else triple.family]
-            row += [serialize.format_float(v) for v in matrix[i]]
-            writer.writerow(row)
+            writer.writerow(row + cells)
 
 
 # -- commands -------------------------------------------------------------------
@@ -333,8 +331,7 @@ def cmd_score(args) -> int:
         header = ["sample_id", "score"]
     else:
         header = ["sample_id"] + [f"p_class_{i}" for i in range(values.shape[1])]
-    rows = [[g.sample_id] + [serialize.format_float(v) for v in values[i]]
-            for i, g in enumerate(graphs)]
+    rows = [[g.sample_id] + cells for g, cells in zip(graphs, serialize.format_rows(values))]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
             writer = csv.writer(fp)

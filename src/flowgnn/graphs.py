@@ -37,6 +37,10 @@ GLOBAL_FEATURES = ("global_clustering_coefficient", "degree_assortativity")
 
 STRUCTURAL_DIM = len(GLOBAL_FEATURES) + len(AGGREGATIONS) * len(LOCAL_FEATURES)
 
+# sources per block of _betweenness times (nodes + adjacency slots) stays
+# under this, so a block's arrays take tens of MB at most whatever the graph
+BETWEENNESS_BLOCK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class FlowGraph:
@@ -150,13 +154,6 @@ def aggregate_feature_names(names) -> tuple[str, ...]:
     return tuple(f"{agg}_{name}" for agg in AGGREGATIONS for name in names)
 
 
-def _feature_matrix(sample: SampleFlows) -> np.ndarray:
-    """The sample's flow features as one (flows, d) float64 matrix, file order."""
-    d = len(sample.flows[0].features)
-    values = chain.from_iterable(f.features for f in sample.flows)
-    return np.fromiter(values, dtype=np.float64, count=len(sample.flows) * d).reshape(-1, d)
-
-
 def build_flow_graph(sample: SampleFlows) -> FlowGraph:
     """Collapse a sample's flows into a directed endpoint graph.
 
@@ -166,16 +163,18 @@ def build_flow_graph(sample: SampleFlows) -> FlowGraph:
     its flows, so each edge row equals `aggregate_edge_features` of that
     pair's flows in file order, bit for bit.
     """
+    flows = sample.flows
     node_index: dict[str, int] = {}
     codes = np.array([node_index.setdefault(ip, len(node_index))
-                      for f in sample.flows for ip in (f.src_ip, f.dst_ip)], dtype=np.int64)
+                      for pair in zip(flows.src_ips, flows.dst_ips) for ip in pair],
+                     dtype=np.int64)
     num_nodes = len(node_index)
     keys = codes[0::2] * num_nodes + codes[1::2]
     unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     by_appearance = np.argsort(first)
     edge_ids = np.argsort(by_appearance)[inverse]
     grouped = np.argsort(edge_ids, kind="stable")
-    matrix = _feature_matrix(sample)
+    matrix = flows.features
     features = _segment_aggregate(matrix[grouped], edge_ids[grouped], np.bincount(edge_ids))
     edge_keys = unique_keys[by_appearance]
     raw_names = tuple(f"f{i}" for i in range(matrix.shape[1]))
@@ -191,7 +190,7 @@ def build_flow_graph(sample: SampleFlows) -> FlowGraph:
 
 def flow_aggregate_features(sample: SampleFlows) -> np.ndarray:
     """Aggregate all of a sample's flows regardless of endpoints."""
-    return aggregate_edge_features(_feature_matrix(sample))
+    return aggregate_edge_features(sample.flows.features)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,39 +212,80 @@ def _undirected_adjacency(graph: FlowGraph) -> list[set[int]]:
 def _betweenness(adj: list[set[int]]) -> np.ndarray:
     """Exact unnormalized betweenness centrality (Brandes accumulation).
 
-    One breadth-first search per source visits neighbours in set order;
-    the queue doubles as Brandes' stack. Path counts and dependencies are
-    Python floats, added in the same order and with the same operations
-    as a float64 array would hold them, so the result is bit-exact.
+    The sources of a block search breadth-first together, one level at a
+    time. A level lists (source, node) cells as flat ids row * n + node,
+    each source's cells in the order its own queue holds them. Expanding a
+    level in that order, every node's neighbours in set order, and keeping
+    each cell's first candidate gives the next level in queue order. The
+    same expansion, read backwards, lists every (successor, predecessor)
+    pair of the level in reverse queue order of the successor.
+
+    Path counts and dependencies are float64 sums that np.bincount adds in
+    the order of a one-source loop over the same queue: path counts over
+    predecessors in queue order, dependencies over successors in reverse
+    queue order. Centrality adds the sources' rows in source order, then
+    halves, so every bit matches that loop.
     """
     n = len(adj)
-    centrality = [0.0] * n
-    for source in range(n):
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0.0] * n
-        sigma[source] = 1.0
-        dist = [-1] * n
-        dist[source] = 0
-        queue = [source]
-        for v in queue:  # grows while it is walked
-            next_dist = dist[v] + 1
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = next_dist
-                    queue.append(w)
-                if dist[w] == next_dist:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(queue):
-            sigma_w = sigma[w]
-            share = 1.0 + delta[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma_w * share
-            if w != source:
-                centrality[w] += delta[w]
+    degree = np.fromiter(map(len, adj), dtype=np.intp, count=n)
+    ends = np.cumsum(degree)
+    neighbors = np.fromiter(chain.from_iterable(adj), dtype=np.intp,
+                            count=int(ends[-1]) if n else 0)
+    # adding a slot's step to a cell of its node gives the neighbour's cell
+    steps = neighbors - np.repeat(np.arange(n), degree)
+
+    def expand(cells):
+        """Each cell's (source, neighbour) cells in order, and the cell each came from."""
+        nodes = cells % n
+        counts = degree[nodes]
+        stops = counts.cumsum()
+        slots = np.arange(stops[-1]) + (ends[nodes] - stops).repeat(counts)
+        origins = cells.repeat(counts)
+        return origins + steps[slots], origins
+
+    centrality = np.zeros(n)
+    # a source reaches each of its cells and adjacency slots at most once
+    block = max(1, BETWEENNESS_BLOCK_CELLS // max(n + len(neighbors), 1))
+    for first_source in range(0, n, block):
+        sources = np.arange(first_source, min(first_source + block, n))
+        size = len(sources) * n
+        dist = np.full(size, -1)
+        sigma = np.zeros(size)
+        slot = np.empty(size, dtype=np.intp)  # scratch: a cell's index in a list
+        level = np.arange(len(sources)) * n + sources
+        dist[level] = 0
+        sigma[level] = 1.0
+        levels, pairs = [], []
+        while len(level):
+            depth = len(levels)
+            levels.append(level)
+            found, preds = expand(level)
+            reached = dist[found]
+            if depth >= 2:  # the sources' own dependencies are never needed
+                back = reached == depth - 1
+                pairs.append((preds[back][::-1], found[back][::-1]))
+            new = reached < 0
+            found, preds = found[new], preds[new]
+            # a cell's first candidate discovers it; its path count sums
+            # every candidate's predecessor count in candidate order
+            order = np.arange(len(found))
+            slot[found] = len(found)
+            np.minimum.at(slot, found, order)
+            first = slot[found]
+            discovers = first == order
+            level = found[discovers]
+            sigma[level] = np.bincount(first, weights=sigma[preds],
+                                       minlength=len(found))[discovers]
+            dist[level] = depth + 1
+        delta = np.zeros(size)
+        for below, (succs, found) in zip(levels[-2:0:-1], pairs[::-1]):
+            terms = sigma[found] / sigma[succs] * (1.0 + delta[succs])
+            slot[below] = np.arange(len(below))
+            delta[below] = np.bincount(slot[found], weights=terms, minlength=len(below))
+        nodes = np.arange(size + n) % n
+        centrality = np.bincount(nodes, weights=np.concatenate([centrality, delta]), minlength=n)
     # each undirected pair is counted from both endpoints
-    return np.array(centrality) / 2.0
+    return centrality / 2.0
 
 
 def _assortativity(adj: list[set[int]]) -> float:

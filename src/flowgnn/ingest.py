@@ -4,6 +4,11 @@ Input layout: one CSV per sample (RFC-4180, header row) plus a UTF-8
 JSON manifest that lists the samples, their label strings, the shared
 column schema and parsing options. Feature computation happens upstream;
 this module only reads, validates and organizes what the extractor wrote.
+
+A sample's flows are held by column: the source and destination endpoint
+strings plus one C-ordered (flows, d) float64 matrix, filled straight
+from the CSV columns. No per-flow object is built; `FlowTable` still reads
+as a sequence of `FlowRecord`s.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -56,16 +60,75 @@ class LabelTriple:
         return getattr(self, level)
 
 
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """A sample's flows by column, in file order.
+
+    `features` is one C-ordered (flows, d) float64 matrix; row i belongs to
+    the flow from `src_ips[i]` to `dst_ips[i]`. The table reads as a
+    sequence of FlowRecords: len, indexing, iteration and == go record by
+    record, and a slice is a table.
+    """
+
+    src_ips: tuple[str, ...]
+    dst_ips: tuple[str, ...]
+    features: np.ndarray
+
+    def __post_init__(self):
+        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        if features.ndim != 2 or not len(self.src_ips) == len(self.dst_ips) == len(features):
+            raise InconsistentDimension(
+                f"{len(self.src_ips)} sources and {len(self.dst_ips)} destinations "
+                f"for a feature matrix of shape {features.shape}")
+        object.__setattr__(self, "features", features)
+
+    @classmethod
+    def from_records(cls, records) -> "FlowTable":
+        records = tuple(records)
+        widths = {len(r.features) for r in records}
+        if len(widths) > 1:
+            raise InconsistentDimension(f"flow records have features {sorted(widths)}-wide")
+        matrix = np.array([r.features for r in records], dtype=np.float64)
+        return cls(tuple(r.src_ip for r in records), tuple(r.dst_ip for r in records),
+                   matrix.reshape(len(records), widths.pop() if widths else 0))
+
+    def __len__(self) -> int:
+        return len(self.src_ips)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FlowTable(self.src_ips[i], self.dst_ips[i], self.features[i])
+        return FlowRecord(self.src_ips[i], self.dst_ips[i], tuple(self.features[i].tolist()))
+
+    def __iter__(self):
+        return map(FlowRecord, self.src_ips, self.dst_ips, map(tuple, self.features.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, FlowTable):
+            return (self.src_ips == other.src_ips and self.dst_ips == other.dst_ips
+                    and self.features.shape == other.features.shape
+                    and bool((self.features == other.features).all()))
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class SampleFlows:
-    """All flows captured during one execution of a candidate application."""
+    """All flows captured during one execution of a candidate application.
+
+    `flows` is a FlowTable. Any other sequence of FlowRecords is converted
+    to one when the sample is built.
+    """
 
     sample_id: str
-    flows: tuple[FlowRecord, ...]
+    flows: FlowTable
     labels: LabelTriple | None = None
 
     def __post_init__(self):
-        if not self.flows:
+        if not isinstance(self.flows, FlowTable):
+            object.__setattr__(self, "flows", FlowTable.from_records(self.flows))
+        if not len(self.flows):
             raise EmptySample(f"sample {self.sample_id!r} has no flows")
 
 
@@ -161,6 +224,8 @@ def _parse_flow_file(path, schema: ColumnSchema, sample_id: str | None,
             excluded = schema.non_feature_columns()
             feature_cols = [name for name in header if name not in excluded]
 
+        if not feature_cols:
+            raise FlowDataError(f"{path}: no feature column; every column has a metadata role")
         src_pos = positions[schema.src_ip]
         dst_pos = positions[schema.dst_ip]
         feat_pos = [positions[name] for name in feature_cols]
@@ -181,26 +246,26 @@ def _parse_flow_file(path, schema: ColumnSchema, sample_id: str | None,
         row_nums.append(row_num)
         kept.append(row)
     columns = list(zip(*kept)) or [()] * len(header)
-    srcs = list(map(str.strip, columns[src_pos]))
-    dsts = list(map(str.strip, columns[dst_pos]))
+    srcs = tuple(map(str.strip, columns[src_pos]))
+    dsts = tuple(map(str.strip, columns[dst_pos]))
     if not (all(srcs) and all(dsts)):
         n = next(i for i, ends in enumerate(zip(srcs, dsts)) if not all(ends))
         fault = f"{path}: row {row_nums[n]} has an empty endpoint"
         columns = [col[:n] for col in columns]
 
-    features = []
-    for pos in feat_pos:
-        try:
-            features.append(list(map(float, columns[pos])))
-        except ValueError:
-            features.append(list(map(_to_float, columns[pos])))
+    # numpy parses each str cell with float(), so the bits are float()'s
+    try:
+        matrix = np.array([columns[pos] for pos in feat_pos], dtype=np.float64)
+    except ValueError:
+        matrix = np.array([list(map(_to_float, columns[pos])) for pos in feat_pos])
+    matrix = np.ascontiguousarray(matrix.T)
     replaced = []
-    for i, k in np.argwhere(~np.isfinite(np.array(features, dtype=np.float64).T)).tolist():
+    for i, k in np.argwhere(~np.isfinite(matrix)).tolist():
         raw = columns[feat_pos[k]][i].strip()
         if strict:
             raise NonNumericFeature(f"{path}: row {row_nums[i]}, column {feature_cols[k]!r}: "
                                     f"cannot parse {raw!r} as a finite number")
-        features[k][i] = 0.0
+        matrix[i, k] = 0.0
         replaced.append((row_nums[i], feature_cols[k], raw))
     if fault is not None:
         raise FlowDataError(fault)
@@ -211,10 +276,8 @@ def _parse_flow_file(path, schema: ColumnSchema, sample_id: str | None,
 
     if not srcs:
         raise EmptySample(f"{path}: no data rows")
-    values = zip(*features) if features else repeat(())
-    flows = tuple(map(FlowRecord, srcs, dsts, values))
     sid = sample_id if sample_id is not None else os.path.splitext(os.path.basename(path))[0]
-    return SampleFlows(sid, flows, labels), tuple(feature_cols)
+    return SampleFlows(sid, FlowTable(srcs, dsts, matrix), labels), tuple(feature_cols)
 
 
 def parse_flow_file(path, schema: ColumnSchema, sample_id: str | None = None,
@@ -237,13 +300,10 @@ def drop_metadata_columns(dataset: FlowDataset, roles: ColumnSchema | dict) -> F
     keep = [i for i, name in enumerate(dataset.feature_names) if name not in to_drop]
     if len(keep) == dataset.feature_dim:
         return dataset
-    new_samples = []
-    for sample in dataset.samples:
-        new_flows = tuple(
-            FlowRecord(f.src_ip, f.dst_ip, tuple(f.features[i] for i in keep))
-            for f in sample.flows
-        )
-        new_samples.append(replace(sample, flows=new_flows))
+    new_samples = [
+        replace(s, flows=FlowTable(s.flows.src_ips, s.flows.dst_ips, s.flows.features[:, keep]))
+        for s in dataset.samples
+    ]
     return FlowDataset(
         samples=tuple(new_samples),
         feature_names=tuple(dataset.feature_names[i] for i in keep),
@@ -381,11 +441,10 @@ def save_dataset(dataset: FlowDataset, out_dir, strict: bool = True,
         with open(os.path.join(out_dir, rel), "w", encoding="utf-8", newline="") as fp:
             writer = csv.writer(fp)
             writer.writerow(["src_ip", "dst_ip", *dataset.feature_names])
-            for flow in sample.flows:
-                writer.writerow(
-                    [flow.src_ip, flow.dst_ip]
-                    + [serialize.format_float(v) for v in flow.features]
-                )
+            flows = sample.flows
+            for src, dst, cells in zip(flows.src_ips, flows.dst_ips,
+                                       serialize.format_rows(flows.features)):
+                writer.writerow([src, dst, *cells])
         labels = {}
         if sample.labels is not None:
             labels["binary"] = names["binary"][sample.labels.binary]

@@ -284,6 +284,8 @@ def scatter_rows(a: Tensor, index: Array, coeff: Array, n_out: int) -> Tensor:
 
 def gather_rows(a: Tensor, index: Array, coeff: Array) -> Tensor:
     """out[i] = coeff[i] * a[index[i]]; the transpose of scatter_rows."""
+    if len(coeff) != len(index):
+        raise ShapeMismatch("gather_rows: coeff must have one entry per index")
     _check_index(index, a.shape[0], "gather_rows")
     out_data = coeff[:, None] * a.data[index]
     _check_finite(out_data, "gather_rows")

@@ -27,6 +27,20 @@ def format_float(x: float) -> str:
     return _format_finite(float(x))
 
 
+def _check_finite(array: np.ndarray) -> None:
+    """Raise format_float's error for the first non-finite entry, if any."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        format_float(float(array[~finite][0]))
+
+
+def format_rows(matrix: np.ndarray) -> list[list[str]]:
+    """A 2-d float array as text cells, one list per row, each cell as
+    format_float writes it; finiteness is checked once for the array."""
+    _check_finite(matrix)
+    return [list(map(_format_finite, row)) for row in matrix.tolist()]
+
+
 def _encode_leaves(values: list, text, out: list[str]) -> None:
     """An ndarray's nested lists, one join per innermost list."""
     if values and isinstance(values[0], list):
@@ -54,9 +68,7 @@ def _encode(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
-        finite = np.isfinite(obj)
-        if not finite.all():
-            format_float(float(obj[~finite][0]))  # raises, naming the value
+        _check_finite(obj)
         _encode_leaves(obj.tolist(), _format_finite, out)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim:
         _encode_leaves(obj.tolist(), str, out)

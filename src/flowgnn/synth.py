@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import FlowDataset, FlowRecord, LabelTriple, SampleFlows
+from .ingest import FlowDataset, FlowTable, LabelTriple, SampleFlows
 
 
 @dataclass(frozen=True)
@@ -155,20 +155,23 @@ def synth_generate(spec: SynthSpec, seed: int) -> FlowDataset:
                 mean[choices[int(rng.integers(len(choices)))]] += sign * spec.delta
             n = int(rng.integers(spec.min_nodes, spec.max_nodes + 1))
             edges = _topology(n, cls_index, spec, rng)
-            flows = []
+            srcs, dsts, blocks = [], [], []
             for s, t in edges:
-                for _ in range(int(rng.integers(spec.min_flows_per_edge,
-                                                spec.max_flows_per_edge + 1))):
-                    values = rng.normal(loc=mean, scale=1.0)
-                    if spec.constant_feature:
-                        values = np.append(values, 1.0)
-                    flows.append(FlowRecord(f"10.0.0.{s}", f"10.0.0.{t}", tuple(values)))
+                count = int(rng.integers(spec.min_flows_per_edge, spec.max_flows_per_edge + 1))
+                # one (count, d) draw gives the values of count one-row draws
+                blocks.append(rng.normal(loc=mean, scale=1.0, size=(count, spec.num_features)))
+                srcs += [f"10.0.0.{s}"] * count
+                dsts += [f"10.0.0.{t}"] * count
+            features = np.concatenate(blocks)
+            if spec.constant_feature:
+                features = np.hstack([features, np.ones((len(features), 1))])
             labels = LabelTriple(
                 binary=0 if cls_index == 0 else 1,
                 category=cls_index,
                 family=cls_index,
             )
-            samples.append(SampleFlows(f"s{counter:05d}", tuple(flows), labels))
+            flows = FlowTable(tuple(srcs), tuple(dsts), features)
+            samples.append(SampleFlows(f"s{counter:05d}", flows, labels))
             counter += 1
 
     class_maps = {

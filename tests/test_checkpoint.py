@@ -132,6 +132,14 @@ class TestSerializer:
         with pytest.raises(ValueError):
             dumps([float("inf")])
 
+    def test_format_rows_matches_format_float(self):
+        matrix = np.array([[2.0, -0.0, 0.1 + 0.2], [1e16, 5e-324, -1 / 3]])
+        assert serialize.format_rows(matrix) == [
+            [serialize.format_float(v) for v in row] for row in matrix]
+        matrix[1, 1] = -np.inf
+        with pytest.raises(ValueError, match="-inf"):
+            serialize.format_rows(matrix)
+
     def test_deterministic_bytes(self):
         obj = {"b": [1.5, 2, None, True], "a": "text", "c": {"k": -0.1}}
         assert dumps(obj) == dumps(obj)

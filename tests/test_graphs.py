@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowgnn import graphs
 from flowgnn.errors import EmptyInput, FlowDataError
 from flowgnn.graphs import (
     STRUCTURAL_DIM,
@@ -114,6 +115,64 @@ def reference_betweenness(adj):
             if w != source:
                 centrality[w] += delta[w]
     return centrality / 2.0
+
+
+def loop_betweenness(adj):
+    """One breadth-first search and Brandes accumulation per source, on
+    Python floats: neighbours in set order, the queue doubling as the stack."""
+    n = len(adj)
+    centrality = [0.0] * n
+    for source in range(n):
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
+        sigma[source] = 1.0
+        dist = [-1] * n
+        dist[source] = 0
+        queue = [source]
+        for v in queue:  # grows while it is walked
+            next_dist = dist[v] + 1
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = next_dist
+                    queue.append(w)
+                if dist[w] == next_dist:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(queue):
+            sigma_w = sigma[w]
+            share = 1.0 + delta[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma_w * share
+            if w != source:
+                centrality[w] += delta[w]
+    return np.array(centrality) / 2.0
+
+
+def nx_adjacency(graph):
+    return [set(graph.neighbors(v)) for v in range(graph.number_of_nodes())]
+
+
+def extract_like_adjacencies():
+    """Graphs sized like a skewed extract: many small, some 35-node, a few 240-node."""
+    adjs = []
+    for k, (lo, hi, count) in enumerate(((4, 12, 48), (35, 35, 10), (240, 240, 3))):
+        spec = SynthSpec(class_sizes=(count - count // 2, count // 2), delta=1.0,
+                         min_nodes=lo, max_nodes=hi, max_flows_per_edge=1)
+        adjs += [_undirected_adjacency(build_flow_graph(sample))
+                 for sample in synth_generate(spec, seed=10 + k).samples]
+    return adjs
+
+
+def odd_adjacencies():
+    star = nx.star_graph(499)
+    star.add_edges_from([(1, 2), (3, 4), (5, 400), (17, 250), (250, 251)])
+    pieces = nx.disjoint_union_all([nx.path_graph(5), nx.empty_graph(3), nx.cycle_graph(6),
+                                    nx.complete_graph(4), nx.empty_graph(1)])
+    loops_only = SampleFlows("loops", (FlowRecord("a", "a", (1.0,)),
+                                       FlowRecord("b", "b", (2.0,))), None)
+    return [nx_adjacency(star), nx_adjacency(pieces),
+            _undirected_adjacency(build_flow_graph(loops_only))]
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -383,6 +442,32 @@ class TestStructuralFeatures:
         adjs += [[set(g.neighbors(v)) for v in range(g.number_of_nodes())] for g in others]
         for adj in adjs:
             assert np.array_equal(_betweenness(adj), reference_betweenness(adj))
+
+    @pytest.mark.parametrize("kind", ["extract_like", "gnp", "grid", "odd"])
+    def test_betweenness_bit_exact_against_loop(self, kind):
+        if kind == "extract_like":
+            adjs = extract_like_adjacencies()
+        elif kind == "gnp":
+            g = np.random.default_rng(2)
+            adjs = [nx_adjacency(nx.gnp_random_graph(int(g.integers(2, 71)),
+                                                     float(g.uniform(0.02, 0.5)), seed=i))
+                    for i in range(100)]
+        elif kind == "grid":
+            adjs = [nx_adjacency(nx.convert_node_labels_to_integers(nx.grid_2d_graph(7, 9)))]
+        else:
+            adjs = odd_adjacencies()
+        for adj in adjs:
+            assert _betweenness(adj).tobytes() == loop_betweenness(adj).tobytes()
+
+    def test_betweenness_bit_exact_across_source_blocks(self, monkeypatch):
+        adjs = [nx_adjacency(nx.convert_node_labels_to_integers(nx.grid_2d_graph(7, 9))),
+                nx_adjacency(nx.gnp_random_graph(40, 0.15, seed=5))] + odd_adjacencies()[:2]
+        # one source per block, except blocks of three for the 19-node
+        # disjoint union, whose last block is short
+        monkeypatch.setattr(graphs, "BETWEENNESS_BLOCK_CELLS", 200)
+        for adj in adjs:
+            assert len(adj) > max(1, 200 // (len(adj) + sum(map(len, adj))))
+            assert _betweenness(adj).tobytes() == loop_betweenness(adj).tobytes()
 
     def test_relabeling_equivariance(self, rng):
         from .conftest import permute_graph

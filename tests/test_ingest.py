@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from flowgnn import serialize
@@ -15,6 +16,7 @@ from flowgnn.ingest import (
     ColumnSchema,
     FlowDataset,
     FlowRecord,
+    FlowTable,
     LabelTriple,
     SampleFlows,
     drop_metadata_columns,
@@ -133,6 +135,55 @@ class TestParseFlowFile:
         write_csv(path, ["src", "dst", "f1", "junk"], [["a", "b", 1.0, "zz"]])
         sample = parse_flow_file(path, schema)
         assert sample.flows[0].features == (1.0,)
+
+    @pytest.mark.parametrize("header, schema", [
+        (["src", "dst"], SCHEMA),
+        (["src", "dst", "ts", "Label"],
+         ColumnSchema(src_ip="src", dst_ip="dst", timestamp="ts", label=("Label",))),
+        (["src", "dst", "f1"], ColumnSchema(src_ip="src", dst_ip="dst", features=())),
+    ], ids=["endpoints_only", "metadata_only", "empty_feature_list"])
+    def test_no_feature_column_rejected(self, tmp_path, header, schema):
+        path = tmp_path / "a.csv"
+        write_csv(path, header, [["a", "b", "1", "x"][:len(header)]])
+        for strict in (True, False):
+            with pytest.raises(FlowDataError, match="a.csv: no feature column"):
+                parse_flow_file(path, schema, strict=strict)
+
+
+class TestFlowTable:
+    RECORDS = (FlowRecord("a", "b", (1.5, -0.0)), FlowRecord("b", "c", (2.0, 5e-324)),
+               FlowRecord("a", "b", (0.1, 3.0)))
+
+    def test_reads_as_records(self):
+        table = FlowTable.from_records(self.RECORDS)
+        assert table.features.flags.c_contiguous and table.features.dtype == np.float64
+        assert len(table) == 3
+        assert table[1] == self.RECORDS[1] and table[-1] == self.RECORDS[-1]
+        assert tuple(table) == self.RECORDS
+        assert table == self.RECORDS and table == list(self.RECORDS)
+        assert table[1:] == FlowTable.from_records(self.RECORDS[1:])
+        assert table != self.RECORDS[:2]
+        assert table != FlowTable(table.src_ips, table.dst_ips, table.features + 1.0)
+
+    def test_sample_converts_records_once(self):
+        sample = SampleFlows("s", self.RECORDS)
+        assert isinstance(sample.flows, FlowTable)
+        assert sample == SampleFlows("s", FlowTable.from_records(self.RECORDS))
+
+    def test_built_from_records_equals_parsed(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["src", "dst", "f1", "f2"],
+                  [[r.src_ip, r.dst_ip, *map(repr, r.features)] for r in self.RECORDS])
+        parsed = parse_flow_file(path, SCHEMA, sample_id="s")
+        assert parsed == SampleFlows("s", self.RECORDS)
+        assert parsed.flows.features.tobytes() == FlowTable.from_records(
+            self.RECORDS).features.tobytes()
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(InconsistentDimension):
+            FlowTable.from_records((FlowRecord("a", "b", (1.0,)), FlowRecord("a", "b", (1.0, 2.0))))
+        with pytest.raises(InconsistentDimension):
+            FlowTable(("a", "b"), ("b",), np.zeros((2, 1)))
 
 
 class TestDropMetadataColumns:
@@ -272,6 +323,17 @@ class TestRoundTrip:
             for fa, fb in zip(a.flows, b.flows):
                 assert fa.src_ip == fb.src_ip and fa.dst_ip == fb.dst_ip
                 assert fa.features == fb.features  # bit-exact
+
+    def test_columnar_round_trip_bit_exact(self, tmp_path):
+        values = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1.5e-310, 0.1 + 0.2, 1 / 3,
+                  -2 / 3, 1e16, 123456789.12345679, 1.7976931348623157e308, -7.0]
+        matrix = np.array(values).reshape(4, 3)
+        table = FlowTable(("a", "b", "a", "c"), ("b", "a", "b", "a"), matrix)
+        ds = FlowDataset((SampleFlows("s0", table, LabelTriple(0, 0)),), ("x", "y", "z"),
+                         {"binary": {"benign": 0}, "category": {"benign": 0}})
+        loaded = load_dataset(save_dataset(ds, tmp_path / "out"))
+        assert loaded.samples[0].flows.features.tobytes() == matrix.tobytes()
+        assert loaded.samples[0].flows == table
 
     def test_format_float_round_trip(self, rng):
         for _ in range(200):

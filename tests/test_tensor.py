@@ -186,6 +186,12 @@ def test_gather_rows_rejects_negative_index():
         gather_rows(Tensor(np.ones((3, 2))), np.array([-1]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("coeff", [[2.0], [1.0, 1.0]])
+def test_gather_rows_rejects_coeff_of_wrong_length(coeff):
+    with pytest.raises(ShapeMismatch, match="gather_rows"):
+        gather_rows(Tensor(np.ones((3, 2))), np.array([0, 1, 2]), np.array(coeff))
+
+
 def test_scatter_rows_rejects_index_past_output():
     with pytest.raises(ShapeMismatch, match="scatter_rows"):
         scatter_rows(Tensor(np.ones((1, 2))), np.array([5]), np.array([1.0]), 3)
