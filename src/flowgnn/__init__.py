@@ -8,6 +8,7 @@ from .graphs import (
     aggregate_edge_features,
     build_flow_graph,
     combined_features,
+    feature_matrix,
     flow_aggregate_features,
     read_graphs_jsonl,
     structural_features,
@@ -36,7 +37,7 @@ from .model import (
     prepare_graph,
     propagation_matrices,
 )
-from .preprocess import Standardizer, remove_constant_columns, standardize_fit
+from .preprocess import Standardizer, standardize_fit
 from .splits import SplitPlan, supervised_split, unsupervised_split
 from .synth import SynthSpec, synth_generate
 from .training import (
@@ -44,7 +45,6 @@ from .training import (
     ProtocolSpec,
     TrainConfig,
     TrainJob,
-    feature_matrix,
     grid_search,
     labels_at_level,
     make_job,

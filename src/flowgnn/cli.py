@@ -23,10 +23,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import FlowDataError, NeuralNetError
 from .graphs import (
     STRUCTURAL_DIM,
+    STRUCTURAL_NAMES,
     build_flow_graph,
-    flow_aggregate_features,
+    feature_matrix,
     read_graphs_jsonl,
-    structural_features,
     write_graphs_jsonl,
 )
 from .ingest import FlowDataset, load_dataset, save_dataset
@@ -107,12 +107,12 @@ def _load_graph_data(path) -> tuple[list, FlowDataset | None]:
     return [build_flow_graph(s) for s in dataset.samples], dataset
 
 
-def _write_feature_csv(path, ids, labels, matrix, names) -> None:
+def _write_feature_csv(path, graphs, matrix, names) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["sample_id", "binary", "category", "family", *names])
-        for sample_id, triple, cells in zip(ids, labels, serialize.format_rows(matrix)):
-            row = [sample_id]
+        for graph, cells in zip(graphs, serialize.format_rows(matrix)):
+            row, triple = [graph.sample_id], graph.labels
             if triple is None:
                 row += ["", "", ""]
             else:
@@ -138,23 +138,16 @@ def cmd_extract(args) -> int:
     graphs = [build_flow_graph(s) for s in dataset.samples]
     write_graphs_jsonl(graphs, os.path.join(out_dir, "graphs.jsonl"))
 
-    ids = [s.sample_id for s in dataset.samples]
-    labels = [s.labels for s in dataset.samples]
-    flow_rows = np.vstack([flow_aggregate_features(s) for s in dataset.samples])
-    structural = [structural_features(g) for g in graphs]
-    graph_rows = np.vstack([f.values for f in structural])
-    combined_rows = np.hstack([flow_rows, graph_rows])
-    flow_names = graphs[0].feature_names
-    graph_names = structural[0].names
-    _write_feature_csv(os.path.join(out_dir, "features_flow.csv"),
-                       ids, labels, flow_rows, flow_names)
-    _write_feature_csv(os.path.join(out_dir, "features_graph.csv"),
-                       ids, labels, graph_rows, graph_names)
-    _write_feature_csv(os.path.join(out_dir, "features_combined.csv"),
-                       ids, labels, combined_rows, tuple(flow_names) + tuple(graph_names))
+    # the flow and graph sets are the two column blocks of the combined rows
+    rows = feature_matrix(graphs, "combined", dataset)
+    names = graphs[0].feature_names + STRUCTURAL_NAMES
+    flow_dim = len(names) - STRUCTURAL_DIM
+    for feature_set, columns in (("flow", slice(flow_dim)), ("graph", slice(flow_dim, None)),
+                                 ("combined", slice(None))):
+        _write_feature_csv(os.path.join(out_dir, f"features_{feature_set}.csv"),
+                           graphs, rows[:, columns], names[columns])
     logger.info("wrote %d graphs and feature sets (%d/%d/%d columns) to %s",
-                len(graphs), flow_rows.shape[1], STRUCTURAL_DIM,
-                combined_rows.shape[1], out_dir)
+                len(graphs), flow_dim, STRUCTURAL_DIM, len(names), out_dir)
     return 0
 
 

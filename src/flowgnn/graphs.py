@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize
 from .errors import EmptyInput, FlowDataError
-from .ingest import LabelTriple, SampleFlows
+from .ingest import FlowDataset, LabelTriple, SampleFlows
 
 AGGREGATIONS = ("mean", "median", "std", "skew", "kurt")
 
@@ -35,7 +35,17 @@ LOCAL_FEATURES = (
 
 GLOBAL_FEATURES = ("global_clustering_coefficient", "degree_assortativity")
 
-STRUCTURAL_DIM = len(GLOBAL_FEATURES) + len(AGGREGATIONS) * len(LOCAL_FEATURES)
+
+def aggregate_feature_names(names) -> tuple[str, ...]:
+    return tuple(f"{agg}_{name}" for agg in AGGREGATIONS for name in names)
+
+
+STRUCTURAL_NAMES = GLOBAL_FEATURES + aggregate_feature_names(LOCAL_FEATURES)
+STRUCTURAL_DIM = len(STRUCTURAL_NAMES)
+
+# per-sample baseline feature sets: the flow aggregate, the structural
+# summary, and both side by side
+FEATURE_SETS = ("flow", "graph", "combined")
 
 # sources per block of _betweenness times (nodes + adjacency slots) stays
 # under this, so a block's arrays take tens of MB at most whatever the graph
@@ -148,10 +158,6 @@ def aggregate_edge_features(flow_features: np.ndarray) -> np.ndarray:
     if k == 0:
         raise EmptyInput("cannot aggregate zero rows")
     return _segment_aggregate(matrix, np.zeros(k, dtype=np.intp), np.array([k]))[0]
-
-
-def aggregate_feature_names(names) -> tuple[str, ...]:
-    return tuple(f"{agg}_{name}" for agg in AGGREGATIONS for name in names)
 
 
 def build_flow_graph(sample: SampleFlows) -> FlowGraph:
@@ -367,15 +373,32 @@ def structural_features(graph: FlowGraph) -> StructuralFeatures:
         [global_clustering, _assortativity(adj)],
         aggregate_edge_features(locals_matrix),
     ])
-    names = GLOBAL_FEATURES + aggregate_feature_names(LOCAL_FEATURES)
-    return StructuralFeatures(values, names)
+    return StructuralFeatures(values, STRUCTURAL_NAMES)
 
 
-def combined_features(sample: SampleFlows, graph: FlowGraph | None = None) -> np.ndarray:
-    """Per-sample flow aggregate followed by the structural summary."""
-    if graph is None:
-        graph = build_flow_graph(sample)
+def combined_features(sample: SampleFlows, graph: FlowGraph) -> np.ndarray:
+    """Per-sample flow aggregate followed by the structural summary of its graph."""
     return np.concatenate([flow_aggregate_features(sample), structural_features(graph).values])
+
+
+def feature_matrix(graphs: list[FlowGraph], feature_set: str,
+                   dataset: FlowDataset | None = None) -> np.ndarray:
+    """Per-sample baseline feature matrix (raw, before standardization).
+
+    One row per graph. The flow and combined sets read each graph's flows
+    from the dataset sample of the same id; a combined row is the flow row
+    followed by the graph row.
+    """
+    if feature_set not in FEATURE_SETS:
+        raise ValueError(f"feature_set must be one of {FEATURE_SETS}")
+    if feature_set == "graph":
+        return np.vstack([structural_features(g).values for g in graphs])
+    if dataset is None:
+        raise ValueError(f"the {feature_set!r} feature set needs the flow dataset")
+    by_id = {s.sample_id: s for s in dataset.samples}
+    if feature_set == "flow":
+        return np.vstack([flow_aggregate_features(by_id[g.sample_id]) for g in graphs])
+    return np.vstack([combined_features(by_id[g.sample_id], g) for g in graphs])
 
 
 def write_graphs_jsonl(graphs, path) -> None:

@@ -7,8 +7,7 @@ this module only reads, validates and organizes what the extractor wrote.
 
 A sample's flows are held by column: the source and destination endpoint
 strings plus one C-ordered (flows, d) float64 matrix, filled straight
-from the CSV columns. No per-flow object is built; `FlowTable` still reads
-as a sequence of `FlowRecord`s.
+from the CSV columns. No per-flow object is built.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ METADATA_ROLES = ("src_ip", "dst_ip", "src_port", "dst_port", "flow_id", "timest
 
 @dataclass(frozen=True)
 class FlowRecord:
-    """One network flow: endpoints plus its numeric feature vector."""
+    """One network flow: endpoints plus its numeric feature vector; an input
+    form only, which `SampleFlows` converts into its `FlowTable` once."""
 
     src_ip: str
     dst_ip: str
@@ -65,9 +65,7 @@ class FlowTable:
     """A sample's flows by column, in file order.
 
     `features` is one C-ordered (flows, d) float64 matrix; row i belongs to
-    the flow from `src_ips[i]` to `dst_ips[i]`. The table reads as a
-    sequence of FlowRecords: len, indexing, iteration and == go record by
-    record, and a slice is a table.
+    the flow from `src_ips[i]` to `dst_ips[i]`. `len` is the flow count.
     """
 
     src_ips: tuple[str, ...]
@@ -82,43 +80,16 @@ class FlowTable:
                 f"for a feature matrix of shape {features.shape}")
         object.__setattr__(self, "features", features)
 
-    @classmethod
-    def from_records(cls, records) -> "FlowTable":
-        records = tuple(records)
-        widths = {len(r.features) for r in records}
-        if len(widths) > 1:
-            raise InconsistentDimension(f"flow records have features {sorted(widths)}-wide")
-        matrix = np.array([r.features for r in records], dtype=np.float64)
-        return cls(tuple(r.src_ip for r in records), tuple(r.dst_ip for r in records),
-                   matrix.reshape(len(records), widths.pop() if widths else 0))
-
     def __len__(self) -> int:
         return len(self.src_ips)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return FlowTable(self.src_ips[i], self.dst_ips[i], self.features[i])
-        return FlowRecord(self.src_ips[i], self.dst_ips[i], tuple(self.features[i].tolist()))
-
-    def __iter__(self):
-        return map(FlowRecord, self.src_ips, self.dst_ips, map(tuple, self.features.tolist()))
-
-    def __eq__(self, other):
-        if isinstance(other, FlowTable):
-            return (self.src_ips == other.src_ips and self.dst_ips == other.dst_ips
-                    and self.features.shape == other.features.shape
-                    and bool((self.features == other.features).all()))
-        if isinstance(other, (tuple, list)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
 
 
 @dataclass(frozen=True)
 class SampleFlows:
     """All flows captured during one execution of a candidate application.
 
-    `flows` is a FlowTable. Any other sequence of FlowRecords is converted
-    to one when the sample is built.
+    `flows` is a FlowTable. A sequence of FlowRecords is converted to one
+    when the sample is built.
     """
 
     sample_id: str
@@ -127,9 +98,25 @@ class SampleFlows:
 
     def __post_init__(self):
         if not isinstance(self.flows, FlowTable):
-            object.__setattr__(self, "flows", FlowTable.from_records(self.flows))
+            records = tuple(self.flows)
+            widths = {len(r.features) for r in records}
+            if len(widths) > 1:
+                raise InconsistentDimension(f"flow records have features {sorted(widths)}-wide")
+            matrix = np.array([r.features for r in records], dtype=np.float64)
+            object.__setattr__(self, "flows", FlowTable(
+                tuple(r.src_ip for r in records), tuple(r.dst_ip for r in records),
+                matrix.reshape(len(records), widths.pop() if widths else 0)))
         if not len(self.flows):
             raise EmptySample(f"sample {self.sample_id!r} has no flows")
+
+
+def _check_unique_ids(ids) -> None:
+    """Samples are matched by id (feature sets, saved flow files)."""
+    seen: set = set()
+    for sid in ids:
+        if sid in seen:
+            raise FlowDataError(f"sample id {sid!r} appears more than once")
+        seen.add(sid)
 
 
 @dataclass(frozen=True)
@@ -137,6 +124,9 @@ class FlowDataset:
     samples: tuple[SampleFlows, ...]
     feature_names: tuple[str, ...]
     class_maps: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_unique_ids(s.sample_id for s in self.samples)
 
     @property
     def feature_dim(self) -> int:
@@ -338,6 +328,7 @@ def load_dataset(manifest_path) -> FlowDataset:
     entries = manifest["samples"]
     if not entries:
         raise EmptySample("manifest lists no samples")
+    _check_unique_ids(entry["id"] for entry in entries)
 
     # family filtering happens on label strings, before any file is read
     family_counts: dict[str, int] = {}

@@ -303,8 +303,7 @@ class FlowGraphNetwork(Network):
     def __init__(self, variant: str, in_dim: int, num_hidden: int,
                  num_layers: int, rng: np.random.Generator,
                  num_classes: int | None = None, pool: str = "mean",
-                 dropout_p: float = 0.0, weight_decay: float = 1e-3,
-                 batch_norm: bool = True, activation: bool = True):
+                 dropout_p: float = 0.0, weight_decay: float = 1e-3):
         super().__init__(variant, VARIANTS, in_dim, num_hidden, num_layers, num_classes)
         if pool not in POOLS:
             raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
@@ -313,9 +312,8 @@ class FlowGraphNetwork(Network):
         self.weight_decay = weight_decay
         h = num_hidden
 
-        def block(name, in_dim_, out_dim_, activation_=True, batch_norm_=True):
-            return _Block(in_dim_, out_dim_, rng, name, self.bias,
-                          batch_norm and batch_norm_, activation and activation_)
+        def block(name, in_dim_, out_dim_, activation=True, batch_norm=True):
+            return _Block(in_dim_, out_dim_, rng, name, self.bias, batch_norm, activation)
 
         self.f1 = block("f1", in_dim, h)
         self.f2 = block("f2", 2 * h, h)
@@ -335,7 +333,7 @@ class FlowGraphNetwork(Network):
                 # single-layer mirror: the first decoder stage is dropped and
                 # node embeddings feed the remaining edge update directly
                 self.f7 = block("f7", 2 * h, h)
-            self.f8 = block("f8", h, in_dim, activation_=False, batch_norm_=False)
+            self.f8 = block("f8", h, in_dim, activation=False, batch_norm=False)
 
     # -- parameter plumbing -------------------------------------------------
 

@@ -134,31 +134,33 @@ class BatchNorm:
         self.running_var = np.asarray(state["running_var"], dtype=np.float64).copy()
 
 
+def _survivors(shape, p_drop: float, rng: np.random.Generator | None,
+               mode: str) -> np.ndarray | None:
+    """The survivor mask of inverted dropout, or None where dropout is the
+    identity: in eval mode or at p_drop == 0. p_drop == 0 draws nothing
+    from rng, keeping the random stream identical across configurations
+    that disable dropout."""
+    if not 0.0 <= p_drop < 1.0:
+        raise ValueError("p_drop must be in [0, 1)")
+    if mode == EVAL or p_drop == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng")
+    return rng.random(shape) >= p_drop
+
+
 def dropout(x: Tensor, p_drop: float, rng: np.random.Generator | None, mode: str) -> Tensor:
     """Inverted dropout; identity in eval mode or at p_drop == 0.
 
     Survivors are scaled by 1/(1-p) so the expected output equals the
-    input. p_drop == 0 draws nothing from rng, keeping the random stream
-    identical across configurations that disable dropout.
+    input.
     """
-    if not 0.0 <= p_drop < 1.0:
-        raise ValueError("p_drop must be in [0, 1)")
-    if mode == EVAL or p_drop == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    keep = rng.random(x.shape) >= p_drop
-    return mul_const(x, keep / (1.0 - p_drop))
+    keep = _survivors(x.shape, p_drop, rng, mode)
+    return x if keep is None else mul_const(x, keep / (1.0 - p_drop))
 
 
 def dropout_values(values: Array, p_drop: float, rng: np.random.Generator | None,
                    mode: str) -> Array:
     """Inverted dropout over a plain coefficient vector (no gradient)."""
-    if not 0.0 <= p_drop < 1.0:
-        raise ValueError("p_drop must be in [0, 1)")
-    if mode == EVAL or p_drop == 0.0:
-        return values
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    keep = rng.random(values.shape) >= p_drop
-    return values * keep / (1.0 - p_drop)
+    keep = _survivors(values.shape, p_drop, rng, mode)
+    return values if keep is None else values * keep / (1.0 - p_drop)

@@ -17,20 +17,6 @@ def constant_column_mask(fit_rows: np.ndarray, tol: float = CONSTANT_TOL) -> np.
     return (rows.max(axis=0) - rows.min(axis=0)) <= tol
 
 
-def remove_constant_columns(matrix: np.ndarray, fit_rows: np.ndarray | None = None,
-                            tol: float = CONSTANT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Drop columns that are constant across the fit rows.
-
-    Returns (reduced matrix, kept column indices). The kept set comes
-    from fit_rows (default: the matrix itself), so one fit applies
-    consistently to train, validation and test rows.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    mask = constant_column_mask(matrix if fit_rows is None else fit_rows, tol)
-    kept = np.flatnonzero(~mask)
-    return matrix[:, kept], kept
-
-
 @dataclass(frozen=True, eq=False)
 class Standardizer:
     """Column selection plus affine map fit on training rows."""
@@ -62,7 +48,7 @@ class Standardizer:
 def standardize_fit(train_rows: np.ndarray, tol: float = CONSTANT_TOL) -> Standardizer:
     """Per-column z-score (population std) over the non-constant columns."""
     rows = np.asarray(train_rows, dtype=np.float64)
-    _, kept = remove_constant_columns(rows, tol=tol)
+    kept = np.flatnonzero(~constant_column_mask(rows, tol))
     reduced = rows[:, kept]
     mean = reduced.mean(axis=0)
     std = reduced.std(axis=0)

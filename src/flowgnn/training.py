@@ -24,7 +24,7 @@ import numpy as np
 
 from . import serialize
 from .errors import NumericalError
-from .graphs import FlowGraph, combined_features, flow_aggregate_features, structural_features
+from .graphs import FlowGraph, feature_matrix
 from .ingest import FlowDataset
 from .metrics import MetricReport, auroc, per_class_precision_recall, weighted_f1
 from .mlp import MLP_VARIANTS, DenseNetwork
@@ -46,7 +46,6 @@ ALL_VARIANTS = GRAPH_VARIANTS + MLP_VARIANTS
 CLASSIFIERS = ("clf", "mlp")
 ONE_CLASS = ("oc", "mlp_oc")
 SUPERVISED_TASKS = ("binary", "category", "family")
-FEATURE_SETS = ("flow", "graph", "combined")
 
 # hyperparameter search spaces; keys match TrainConfig on-disk names
 DEFAULT_GRIDS: dict[str, dict[str, list]] = {
@@ -139,26 +138,6 @@ def labels_at_level(graphs: list[FlowGraph], level: str) -> np.ndarray:
             raise ValueError(f"graph {g.sample_id!r} lacks a {level} label")
         values.append(g.labels.at_level(level))
     return np.asarray(values, dtype=np.intp)
-
-
-def feature_matrix(graphs: list[FlowGraph], feature_set: str,
-                   dataset: FlowDataset | None = None) -> np.ndarray:
-    """Per-sample baseline feature matrix (raw, before standardization)."""
-    if feature_set not in FEATURE_SETS:
-        raise ValueError(f"feature_set must be one of {FEATURE_SETS}")
-    if feature_set == "graph":
-        return np.vstack([structural_features(g).values for g in graphs])
-    if dataset is None:
-        raise ValueError(f"the {feature_set!r} feature set needs the flow dataset")
-    by_id = {s.sample_id: s for s in dataset.samples}
-    rows = []
-    for g in graphs:
-        sample = by_id[g.sample_id]
-        if feature_set == "flow":
-            rows.append(flow_aggregate_features(sample))
-        else:
-            rows.append(combined_features(sample, g))
-    return np.vstack(rows)
 
 
 # -- single training run ------------------------------------------------------

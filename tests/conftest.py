@@ -63,6 +63,11 @@ def make_sample(pairs, d=3, seed=0, sid="s0", labels=None):
     return SampleFlows(sid, flows, labels)
 
 
+def table_columns(table):
+    """A FlowTable's columns in a form == compares bit for bit."""
+    return table.src_ips, table.dst_ips, table.features.shape, table.features.tobytes()
+
+
 def permute_graph(graph: FlowGraph, rng) -> FlowGraph:
     """Relabel nodes and reorder edges consistently."""
     n = graph.num_nodes
@@ -91,4 +96,5 @@ __all__ = [
     "make_sample",
     "permute_graph",
     "random_connected_graph",
+    "table_columns",
 ]

@@ -21,7 +21,7 @@ from flowgnn.graphs import (
     structural_features,
     write_graphs_jsonl,
 )
-from flowgnn.ingest import FlowRecord, LabelTriple, SampleFlows
+from flowgnn.ingest import FlowRecord, FlowTable, LabelTriple, SampleFlows
 from flowgnn.synth import SynthSpec, synth_generate
 
 from .conftest import make_graph, make_sample, random_connected_graph
@@ -71,15 +71,16 @@ def reference_aggregate(matrix):
 def reference_edge_rows(sample):
     """The per-edge loop: nodes, edges and edge rows, one aggregation per pair."""
     node_index, edge_index, edge_rows = {}, {}, []
-    for flow in sample.flows:
-        for ip in (flow.src_ip, flow.dst_ip):
+    flows = sample.flows
+    for src, dst, features in zip(flows.src_ips, flows.dst_ips, flows.features.tolist()):
+        for ip in (src, dst):
             if ip not in node_index:
                 node_index[ip] = len(node_index)
-        key = (node_index[flow.src_ip], node_index[flow.dst_ip])
+        key = (node_index[src], node_index[dst])
         if key not in edge_index:
             edge_index[key] = len(edge_rows)
             edge_rows.append([])
-        edge_rows[edge_index[key]].append(flow.features)
+        edge_rows[edge_index[key]].append(features)
     rows = np.vstack([reference_aggregate(r) for r in edge_rows])
     return tuple(node_index), tuple(edge_index), rows
 
@@ -308,9 +309,11 @@ class TestBuildFlowGraph:
         assert graph.nodes == nodes
         assert graph.edges == edges
         assert graph.edge_features.tobytes() == rows.tobytes()
+        table = sample.flows
         for i, (s, t) in enumerate(graph.edges):
             pair = (graph.nodes[s], graph.nodes[t])
-            flows = np.array([f.features for f in sample.flows if (f.src_ip, f.dst_ip) == pair])
+            on_pair = np.array([ends == pair for ends in zip(table.src_ips, table.dst_ips)])
+            flows = table.features[on_pair]
             assert graph.edge_features[i].tobytes() == aggregate_edge_features(flows).tobytes()
 
     def test_flow_order_invariance(self, rng):
@@ -322,8 +325,11 @@ class TestBuildFlowGraph:
             for i, (s, t) in enumerate(base.edges)
         }
         for _ in range(10):
-            perm = rng.permutation(len(sample.flows))
-            shuffled = SampleFlows("s0", tuple(sample.flows[i] for i in perm), None)
+            flows = sample.flows
+            perm = rng.permutation(len(flows))
+            shuffled = SampleFlows("s0", FlowTable(tuple(flows.src_ips[i] for i in perm),
+                                                   tuple(flows.dst_ips[i] for i in perm),
+                                                   flows.features[perm]), None)
             other = build_flow_graph(shuffled)
             assert set(other.nodes) == set(base.nodes)
             other_map = {
@@ -487,18 +493,22 @@ class TestSampleFeatureSets:
         assert np.array_equal(out, [7.0, -2.0, 7.0, -2.0, 0, 0, 0, 0, 0, 0])
 
     def test_flow_aggregate_equals_stacked_matrix(self):
-        sample = make_sample([("a", "b"), ("b", "c")], d=4, seed=3)
-        stacked = np.array([f.features for f in sample.flows])
+        records = (FlowRecord("a", "b", (1.0, 2.0, 3.0, 4.0)),
+                   FlowRecord("b", "c", (0.5, -1.0, 2.5, 8.0)))
+        sample = SampleFlows("s", records, None)
+        stacked = np.array([r.features for r in records])
         np.testing.assert_array_equal(
             flow_aggregate_features(sample), aggregate_edge_features(stacked)
         )
 
     def test_combined_layout(self):
         sample = make_sample([("a", "b"), ("b", "c")], d=4, seed=3)
-        combined = combined_features(sample)
+        graph = build_flow_graph(sample)
+        combined = combined_features(sample, graph)
         flow = flow_aggregate_features(sample)
         assert len(combined) == 5 * 4 + 42
         np.testing.assert_array_equal(combined[:20], flow)
+        np.testing.assert_array_equal(combined[20:], structural_features(graph).values)
 
     def test_no_columns_dropped_here(self):
         # constant-column removal is a downstream training concern

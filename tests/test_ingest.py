@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from flowgnn.ingest import (
     save_dataset,
 )
 
+from .conftest import table_columns
+
 SCHEMA = ColumnSchema(src_ip="src", dst_ip="dst")
 
 
@@ -43,8 +46,8 @@ class TestParseFlowFile:
                    ["10.0.0.2", "10.0.0.1", -1.0, 0.0, 9.5]])
         sample = parse_flow_file(path, SCHEMA)
         assert len(sample.flows) == 2
-        assert sample.flows[0].features == (1.5, 2.0, 3.0)
-        assert sample.flows[1].src_ip == "10.0.0.2"
+        assert sample.flows.features[0].tolist() == [1.5, 2.0, 3.0]
+        assert sample.flows.src_ips[1] == "10.0.0.2"
 
     def test_missing_designated_column(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -60,7 +63,7 @@ class TestParseFlowFile:
             parse_flow_file(path, SCHEMA, strict=True)
         with caplog.at_level("WARNING"):
             sample = parse_flow_file(path, SCHEMA, strict=False)
-        assert sample.flows[0].features == (0.0, 1.0)
+        assert sample.flows.features[0].tolist() == [0.0, 1.0]
         assert any("replacing" in rec.message for rec in caplog.records)
 
     def test_lenient_logs_one_warning_per_file(self, tmp_path, caplog):
@@ -70,8 +73,8 @@ class TestParseFlowFile:
                    ["b", "c", "", -1.0], ["c", "a", 1.0, "-Infinity"]])
         with caplog.at_level("WARNING"):
             sample = parse_flow_file(path, SCHEMA, strict=False)
-        assert [f.features for f in sample.flows] == [
-            (0.0, 1.0), (0.0, 0.0), (2.0, 3.0), (0.0, -1.0), (1.0, 0.0)]
+        assert sample.flows.features.tolist() == [
+            [0.0, 1.0], [0.0, 0.0], [2.0, 3.0], [0.0, -1.0], [1.0, 0.0]]
         warnings = [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"]
         assert len(warnings) == 1
         assert "replacing 5 " in warnings[0]
@@ -96,7 +99,7 @@ class TestParseFlowFile:
         write_csv(path, ["src", "dst", "f1", "label"], [["a", "b", 1.0], ["b", "a", 2.0, "x"]])
         schema = ColumnSchema(src_ip="src", dst_ip="dst", label=("label",))
         sample = parse_flow_file(path, schema)
-        assert [f.features for f in sample.flows] == [(1.0,), (2.0,)]
+        assert sample.flows.features.tolist() == [[1.0], [2.0]]
 
     def test_bad_cell_before_malformed_row_reported_first(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -110,8 +113,7 @@ class TestParseFlowFile:
         with pytest.raises(NonNumericFeature):
             parse_flow_file(path, SCHEMA, strict=True)
         sample = parse_flow_file(path, SCHEMA, strict=False)
-        assert sample.flows[0].features == (0.0,)
-        assert sample.flows[1].features == (0.0,)
+        assert sample.flows.features.tolist() == [[0.0], [0.0]]
 
     def test_empty_sample(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -127,14 +129,14 @@ class TestParseFlowFile:
                   [["x", "a", 80, "b", 2.0, "t0", 1.0, "ok"]])
         sample = parse_flow_file(path, schema)
         # feature order follows the header: f2 before f1
-        assert sample.flows[0].features == (2.0, 1.0)
+        assert sample.flows.features.tolist() == [[2.0, 1.0]]
 
     def test_explicit_feature_list(self, tmp_path):
         path = tmp_path / "a.csv"
         schema = ColumnSchema(src_ip="src", dst_ip="dst", features=("f1",))
         write_csv(path, ["src", "dst", "f1", "junk"], [["a", "b", 1.0, "zz"]])
         sample = parse_flow_file(path, schema)
-        assert sample.flows[0].features == (1.0,)
+        assert sample.flows.features.tolist() == [[1.0]]
 
     @pytest.mark.parametrize("header, schema", [
         (["src", "dst"], SCHEMA),
@@ -155,33 +157,28 @@ class TestFlowTable:
                FlowRecord("a", "b", (0.1, 3.0)))
 
     def test_reads_as_records(self):
-        table = FlowTable.from_records(self.RECORDS)
+        table = SampleFlows("s", self.RECORDS).flows
         assert table.features.flags.c_contiguous and table.features.dtype == np.float64
         assert len(table) == 3
-        assert table[1] == self.RECORDS[1] and table[-1] == self.RECORDS[-1]
-        assert tuple(table) == self.RECORDS
-        assert table == self.RECORDS and table == list(self.RECORDS)
-        assert table[1:] == FlowTable.from_records(self.RECORDS[1:])
-        assert table != self.RECORDS[:2]
-        assert table != FlowTable(table.src_ips, table.dst_ips, table.features + 1.0)
+        assert table.src_ips == ("a", "b", "a") and table.dst_ips == ("b", "c", "b")
+        assert table.features.tobytes() == np.array([r.features for r in self.RECORDS]).tobytes()
 
     def test_sample_converts_records_once(self):
         sample = SampleFlows("s", self.RECORDS)
         assert isinstance(sample.flows, FlowTable)
-        assert sample == SampleFlows("s", FlowTable.from_records(self.RECORDS))
+        assert SampleFlows("s", sample.flows).flows is sample.flows
 
     def test_built_from_records_equals_parsed(self, tmp_path):
         path = tmp_path / "a.csv"
         write_csv(path, ["src", "dst", "f1", "f2"],
                   [[r.src_ip, r.dst_ip, *map(repr, r.features)] for r in self.RECORDS])
         parsed = parse_flow_file(path, SCHEMA, sample_id="s")
-        assert parsed == SampleFlows("s", self.RECORDS)
-        assert parsed.flows.features.tobytes() == FlowTable.from_records(
-            self.RECORDS).features.tobytes()
+        assert parsed.sample_id == "s"
+        assert table_columns(parsed.flows) == table_columns(SampleFlows("s", self.RECORDS).flows)
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(InconsistentDimension):
-            FlowTable.from_records((FlowRecord("a", "b", (1.0,)), FlowRecord("a", "b", (1.0, 2.0))))
+            SampleFlows("s", (FlowRecord("a", "b", (1.0,)), FlowRecord("a", "b", (1.0, 2.0))))
         with pytest.raises(InconsistentDimension):
             FlowTable(("a", "b"), ("b",), np.zeros((2, 1)))
 
@@ -197,7 +194,7 @@ class TestDropMetadataColumns:
         roles = ColumnSchema(src_ip="src", dst_ip="dst", src_port="sport", timestamp="ts")
         out = drop_metadata_columns(ds, roles)
         assert out.feature_names == ("f0", "f1")
-        assert out.samples[0].flows[0].features == (0.0, 2.0)
+        assert out.samples[0].flows.features.tolist() == [[0.0, 2.0]]
 
     def test_absent_columns_noop(self):
         ds = self.make_dataset(["f0", "f1"])
@@ -211,7 +208,7 @@ class TestDropMetadataColumns:
         once = drop_metadata_columns(ds, roles)
         twice = drop_metadata_columns(once, roles)
         assert twice.feature_names == once.feature_names
-        assert twice.samples[0].flows[0].features == once.samples[0].flows[0].features
+        assert table_columns(twice.samples[0].flows) == table_columns(once.samples[0].flows)
 
 
 def write_manifest(tmp_path, samples, schema=None, **extra):
@@ -285,6 +282,17 @@ class TestLoadDataset:
         with pytest.raises(UnknownLabel):
             load_dataset(write_manifest(tmp_path, entries, min_family_count=0))
 
+    def test_duplicate_sample_id_rejected(self, tmp_path):
+        # the files do not exist: the id check comes before any is read
+        entries = [{"id": "s", "file": name, "labels": {"binary": "benign", "category": "benign"}}
+                   for name in ("a.csv", "b.csv")]
+        with pytest.raises(FlowDataError, match="sample id 's' appears more than once"):
+            load_dataset(write_manifest(tmp_path, entries, min_family_count=0))
+        # a dataset built in code could not be saved: both samples map to flows/s.csv
+        sample = SampleFlows("s", (FlowRecord("a", "b", (1.0,)),))
+        with pytest.raises(FlowDataError, match="sample id 's' appears more than once"):
+            FlowDataset((sample, replace(sample, labels=LabelTriple(0, 0))), ("f0",))
+
     def test_deterministic_reload(self, tmp_path):
         write_csv(tmp_path / "a.csv", ["src", "dst", "f1"],
                   [["a", "b", 0.12345678901234567]])
@@ -293,7 +301,7 @@ class TestLoadDataset:
         manifest = write_manifest(tmp_path, entries, min_family_count=0)
         d1 = load_dataset(manifest)
         d2 = load_dataset(manifest)
-        assert d1.samples[0].flows == d2.samples[0].flows
+        assert table_columns(d1.samples[0].flows) == table_columns(d2.samples[0].flows)
         assert d1.feature_names == d2.feature_names
 
 
@@ -320,9 +328,7 @@ class TestRoundTrip:
         for a, b in zip(loaded.samples, ds.samples):
             assert a.sample_id == b.sample_id
             assert a.labels == b.labels
-            for fa, fb in zip(a.flows, b.flows):
-                assert fa.src_ip == fb.src_ip and fa.dst_ip == fb.dst_ip
-                assert fa.features == fb.features  # bit-exact
+            assert table_columns(a.flows) == table_columns(b.flows)  # bit-exact
 
     def test_columnar_round_trip_bit_exact(self, tmp_path):
         values = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1.5e-310, 0.1 + 0.2, 1 / 3,
@@ -333,7 +339,7 @@ class TestRoundTrip:
                          {"binary": {"benign": 0}, "category": {"benign": 0}})
         loaded = load_dataset(save_dataset(ds, tmp_path / "out"))
         assert loaded.samples[0].flows.features.tobytes() == matrix.tobytes()
-        assert loaded.samples[0].flows == table
+        assert table_columns(loaded.samples[0].flows) == table_columns(table)
 
     def test_format_float_round_trip(self, rng):
         for _ in range(200):

@@ -102,7 +102,9 @@ class TestEncode:
         # input is [incoming | outgoing] = u: [0, 0.5 x], v: [0.5 x, 0]
         graph = make_graph([(0, 1)], d=3, seed=1)
         x = graph.edge_features
-        model = build("clf", in_dim=3, h=3, batch_norm=False, activation=False)
+        model = build("clf", in_dim=3, h=3)
+        for blk in (model.f1, model.f2):
+            blk.bn, blk.activation = None, False
         model.f1.dense.W.data = np.eye(3)
         model.f1.dense.b.data = np.zeros((1, 3))
         batch = make_batch([prepare_graph(graph)])
@@ -139,7 +141,8 @@ class TestEncode:
         zeroed = FlowGraph(graph.sample_id, graph.nodes, graph.edges,
                            np.zeros_like(graph.edge_features),
                            graph.feature_names, graph.labels)
-        model = build("clf", batch_norm=False)
+        model = build("clf")
+        model.f1.bn = model.f2.bn = None
         batch = make_batch([prepare_graph(zeroed)])
         enc = model.encode(batch)
         assert np.allclose(enc["h_final"].data, 0.0)

@@ -1,36 +1,30 @@
 import numpy as np
 import pytest
 
-from flowgnn.preprocess import (
-    Standardizer,
-    remove_constant_columns,
-    standardize_fit,
-)
+from flowgnn.preprocess import Standardizer, standardize_fit
 
 
 class TestRemoveConstantColumns:
     def test_constant_column_removed(self):
         matrix = np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 5.0]])
-        reduced, kept = remove_constant_columns(matrix)
-        assert kept.tolist() == [1]
-        assert reduced.shape == (3, 1)
+        standardizer = standardize_fit(matrix)
+        assert standardizer.kept_columns.tolist() == [1]
+        assert standardizer(matrix).shape == (3, 1)
 
     def test_below_tolerance_removed(self):
         matrix = np.array([[1.0, 0.0], [1.0 + 1e-15, 1.0]])
-        reduced, kept = remove_constant_columns(matrix)
-        assert kept.tolist() == [1]
+        assert standardize_fit(matrix).kept_columns.tolist() == [1]
 
     def test_above_tolerance_kept(self):
         matrix = np.array([[1.0, 0.0], [1.0 + 1e-9, 1.0]])
-        _, kept = remove_constant_columns(matrix)
-        assert kept.tolist() == [0, 1]
+        assert standardize_fit(matrix).kept_columns.tolist() == [0, 1]
 
     def test_fit_rows_drive_selection(self):
         fit = np.array([[1.0, 2.0], [1.0, 3.0]])
         matrix = np.array([[9.0, 9.0], [8.0, 7.0]])
-        reduced, kept = remove_constant_columns(matrix, fit_rows=fit)
-        assert kept.tolist() == [1]
-        assert np.array_equal(reduced, [[9.0], [7.0]])
+        standardizer = standardize_fit(fit)
+        assert standardizer.kept_columns.tolist() == [1]
+        assert np.array_equal(standardizer(matrix), [[(9.0 - 2.5) / 0.5], [(7.0 - 2.5) / 0.5]])
 
 
 class TestStandardizer:

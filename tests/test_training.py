@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from flowgnn import serialize
-from flowgnn.graphs import build_flow_graph
+from flowgnn.graphs import build_flow_graph, feature_matrix
 from flowgnn.synth import SynthSpec, synth_generate
 from flowgnn.training import (
     DEFAULT_GRIDS,
     ProtocolSpec,
     TrainConfig,
     expand_grid,
-    feature_matrix,
     grid_search,
     labels_at_level,
     make_job,
