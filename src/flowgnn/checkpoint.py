@@ -32,15 +32,7 @@ def checkpoint_dict(model, config: TrainConfig, standardizer: Standardizer | Non
             {"name": name, "shape": list(data.shape), "values": data.ravel()}
             for name, data in state["params"]
         ],
-        "batchnorm": [
-            {
-                "gamma": bn["gamma"],
-                "beta": bn["beta"],
-                "running_mean": bn["running_mean"],
-                "running_var": bn["running_var"],
-            }
-            for bn in state["batchnorm"]
-        ],
+        "batchnorm": state["batchnorm"],
         "oc_center": None if state["center"] is None else state["center"].ravel(),
         "preprocess": None if standardizer is None else standardizer.to_dict(),
         "run_info": run_info or {},

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -29,10 +30,9 @@ from .graphs import (
     read_graphs_jsonl,
     write_graphs_jsonl,
 )
-from .ingest import FlowDataset, load_dataset, save_dataset
+from .ingest import LABEL_LEVELS, FlowDataset, load_dataset, save_dataset
 from .synth import SynthSpec, synth_generate
 from .training import (
-    ALL_VARIANTS,
     CLASSIFIERS,
     DEFAULT_GRIDS,
     ProtocolSpec,
@@ -84,16 +84,14 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
-def _load_config(args, required: bool = True) -> dict:
-    config: dict = {}
-    if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file not found: {args.config}")
-        config = serialize.load_path(args.config)
-        if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object")
-    elif required:
+def _load_config(args) -> dict:
+    if not args.config:
         raise UsageError("--config is required for this command")
+    if not os.path.exists(args.config):
+        raise UsageError(f"config file not found: {args.config}")
+    config = serialize.load_path(args.config)
+    if not isinstance(config, dict):
+        raise UsageError("config file must hold a JSON object")
     return _apply_overrides(config, args.set or [])
 
 
@@ -110,15 +108,11 @@ def _load_graph_data(path) -> tuple[list, FlowDataset | None]:
 def _write_feature_csv(path, graphs, matrix, names) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
-        writer.writerow(["sample_id", "binary", "category", "family", *names])
+        writer.writerow(["sample_id", *LABEL_LEVELS, *names])
         for graph, cells in zip(graphs, serialize.format_rows(matrix)):
-            row, triple = [graph.sample_id], graph.labels
-            if triple is None:
-                row += ["", "", ""]
-            else:
-                row += [triple.binary, triple.category,
-                        "" if triple.family is None else triple.family]
-            writer.writerow(row + cells)
+            labels = {} if graph.labels is None else graph.labels.to_dict()
+            writer.writerow([graph.sample_id, *(labels.get(level, "") for level in LABEL_LEVELS),
+                             *cells])
 
 
 # -- commands -------------------------------------------------------------------
@@ -166,20 +160,10 @@ def _protocol_from_config(config: dict) -> ProtocolSpec:
     variant = config.get("variant")
     if task is None or variant is None:
         raise UsageError("config needs 'task' and 'variant'")
-    if variant not in ALL_VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; expected one of {ALL_VARIANTS}")
     split = config.get("split", {})
     try:
-        return ProtocolSpec(
-            task=task,
-            variant=variant,
-            feature_set=config.get("feature_set"),
-            quota=split.get("quota"),
-            val_fraction=split.get("val_fraction"),
-            train_fraction=split.get("train_fraction", 0.20),
-            unsup_val_fraction=split.get("unsup_val_fraction", 0.10),
-        )
-    except ValueError as exc:
+        return ProtocolSpec(task, variant, config.get("feature_set"), **split)
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -201,15 +185,14 @@ def _train_setup(args):
     if "data" not in config:
         raise UsageError("config needs 'data' (graphs.jsonl or dataset manifest)")
     spec = _protocol_from_config(config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     try:
         train_config = TrainConfig.from_dict(
-            {**config.get("train", {}), "variant": spec.variant, "seed": seed}
+            {**config.get("train", {}), "variant": spec.variant, "seed": args.seed}
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    _, job, standardizer = _load_job(spec, train_config, config["data"], seed)
-    return config, spec, seed, job, standardizer
+    _, job, standardizer = _load_job(spec, train_config, config["data"], args.seed)
+    return config, spec, job, standardizer
 
 
 def _load_model(args):
@@ -241,12 +224,12 @@ def _run_info(spec: ProtocolSpec, seed: int, data: str) -> dict:
 
 
 def cmd_train(args) -> int:
-    config, spec, seed, job, standardizer = _train_setup(args)
+    config, spec, job, standardizer = _train_setup(args)
     result = train(job)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.model,
-                    job.config, standardizer, _run_info(spec, seed, config["data"]))
+                    job.config, standardizer, _run_info(spec, args.seed, config["data"]))
     serialize.dump_path(
         {
             "best_epoch": result.best_epoch,
@@ -262,13 +245,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    config, spec, seed, job, standardizer = _train_setup(args)
+    config, spec, job, standardizer = _train_setup(args)
     grid = config.get("grid") or DEFAULT_GRIDS[spec.variant]
     result = grid_search(grid, job, workers=args.workers)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.best_fit.model,
-                    result.best_config, standardizer, _run_info(spec, seed, config["data"]))
+                    result.best_config, standardizer, _run_info(spec, args.seed, config["data"]))
     serialize.dump_path(result.best_config.to_dict(), os.path.join(out_dir, "best_config.json"))
     serialize.dump_path(
         {"task": spec.task, "variant": spec.variant, "cells": result.cells},
@@ -300,12 +283,9 @@ def cmd_evaluate(args) -> int:
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["split", "metric", "value"])
-        for part in ("train", "val", "test"):
-            entry = report["splits"][part]
+        for part, entry in report["splits"].items():
             writer.writerow([part, entry["metric"], serialize.format_float(entry["value"])])
-    for part in ("train", "val", "test"):
-        entry = report["splits"][part]
-        logger.info("%s %s = %.4f", part, entry["metric"], entry["value"])
+            logger.info("%s %s = %.4f", part, entry["metric"], entry["value"])
     return 0
 
 
@@ -325,13 +305,9 @@ def cmd_score(args) -> int:
     else:
         header = ["sample_id"] + [f"p_class_{i}" for i in range(values.shape[1])]
     rows = [[g.sample_id] + cells for g, cells in zip(graphs, serialize.format_rows(values))]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            writer = csv.writer(fp)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
+    with out as fp:
+        writer = csv.writer(fp)
         writer.writerow(header)
         writer.writerows(rows)
     logger.info("scored %d graphs", len(graphs))
@@ -341,50 +317,44 @@ def cmd_score(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+FLAGS = {
+    "manifest": dict(help="dataset manifest JSON"),
+    "checkpoint": dict(help="checkpoint JSON"),
+    "data": dict(help="graphs.jsonl or dataset manifest"),
+    "config": dict(help="JSON config file"),
+    "seed": dict(type=int, default=0, help="root random seed (default 0)"),
+    "set": dict(action="append", metavar="KEY=VALUE",
+                help="override a config entry (dotted path)"),
+    "workers": dict(type=int, default=1, help="parallel workers"),
+    "out": dict(help="output directory or file"),
+}
+
+CONFIG_FLAGS = ("config", "seed", "set", "out")
+CHECKPOINT_FLAGS = ("checkpoint", "data", "out")
+
+# command: (function, help, the flags it reads)
+COMMANDS = {
+    "extract": (cmd_extract, "flows to graphs.jsonl plus feature CSVs", ("manifest", "out")),
+    "synth": (cmd_synth, "generate a synthetic flow dataset from a --config spec", CONFIG_FLAGS),
+    "train": (cmd_train, "train one model on one split", CONFIG_FLAGS),
+    "gridsearch": (cmd_gridsearch, "exhaustive hyperparameter search",
+                   CONFIG_FLAGS + ("workers",)),
+    "evaluate": (cmd_evaluate, "metrics for a checkpoint on its splits", CHECKPOINT_FLAGS),
+    "score": (cmd_score, "per-graph scores or class probabilities", CHECKPOINT_FLAGS),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowgnn",
         description="Flow-graph extraction, training and scoring",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_help="JSON config file"):
-        p.add_argument("--config", help=config_help)
-        p.add_argument("--seed", type=int, default=None, help="root random seed")
-        p.add_argument("--out", help="output directory or file")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config entry (dotted path)")
-
-    p = sub.add_parser("extract", help="flows to graphs.jsonl plus feature CSVs")
-    p.add_argument("--manifest", help="dataset manifest JSON")
-    common(p)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("synth", help="generate a synthetic flow dataset")
-    common(p, "synthetic dataset spec JSON")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train one model on one split")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("gridsearch", help="exhaustive hyperparameter search")
-    common(p)
-    p.set_defaults(func=cmd_gridsearch)
-
-    p = sub.add_parser("evaluate", help="metrics for a checkpoint on its splits")
-    p.add_argument("--checkpoint", help="checkpoint JSON")
-    p.add_argument("--data", help="graphs.jsonl or dataset manifest")
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("score", help="per-graph scores or class probabilities")
-    p.add_argument("--checkpoint", help="checkpoint JSON")
-    p.add_argument("--data", help="graphs.jsonl or dataset manifest")
-    common(p)
-    p.set_defaults(func=cmd_score)
-
+    for command, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -392,8 +362,6 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = 0
     try:
         return args.func(args)
     except UsageError as exc:

@@ -22,7 +22,7 @@ class InconsistentDimension(FlowDataError):
 
 
 class UnknownLabel(FlowDataError):
-    """A label string is not part of the declared class set."""
+    """A label is not part of the declared class set, or not a valid index."""
 
 
 class EmptyInput(FlowDataError):

@@ -17,8 +17,8 @@ from itertools import chain
 import numpy as np
 
 from . import serialize
-from .errors import EmptyInput, FlowDataError
-from .ingest import FlowDataset, LabelTriple, SampleFlows
+from .errors import EmptyInput, FlowDataError, UnknownLabel
+from .ingest import LABEL_LEVELS, FlowDataset, LabelTriple, SampleFlows
 
 AGGREGATIONS = ("mean", "median", "std", "skew", "kurt")
 
@@ -405,14 +405,9 @@ def write_graphs_jsonl(graphs, path) -> None:
     """One graph per line; floats carry 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fp:
         for graph in graphs:
-            labels = None
-            if graph.labels is not None:
-                labels = {"binary": graph.labels.binary, "category": graph.labels.category}
-                if graph.labels.family is not None:
-                    labels["family"] = graph.labels.family
             record = {
                 "id": graph.sample_id,
-                "labels": labels,
+                "labels": None if graph.labels is None else graph.labels.to_dict(),
                 "nodes": list(graph.nodes),
                 "edges": np.array(graph.edges, dtype=np.int64).reshape(-1, 2),
                 "x": graph.edge_features,
@@ -430,14 +425,11 @@ def read_graphs_jsonl(path) -> list[FlowGraph]:
             if not line:
                 continue
             rec = json.loads(line)
-            labels = None
-            if rec.get("labels") is not None:
-                raw = rec["labels"]
-                labels = LabelTriple(
-                    binary=int(raw["binary"]),
-                    category=int(raw["category"]),
-                    family=None if raw.get("family") is None else int(raw["family"]),
-                )
+            raw = rec.get("labels")
+            try:
+                labels = None if raw is None else LabelTriple(*map(raw.get, LABEL_LEVELS))
+            except UnknownLabel as exc:
+                raise UnknownLabel(f"graph {rec['id']!r}: {exc}") from None
             edges = tuple((int(s), int(t)) for s, t in rec["edges"])
             x = np.asarray(rec["x"], dtype=np.float64)
             check_edge_indices(rec["id"], edges, len(rec["nodes"]))

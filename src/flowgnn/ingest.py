@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,9 +36,6 @@ logger = logging.getLogger(__name__)
 
 LABEL_LEVELS = ("binary", "category", "family")
 
-# column roles that hold flow metadata rather than numeric features
-METADATA_ROLES = ("src_ip", "dst_ip", "src_port", "dst_port", "flow_id", "timestamp", "label")
-
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -48,16 +47,36 @@ class FlowRecord:
     features: tuple[float, ...]
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 0
+
+
 @dataclass(frozen=True)
 class LabelTriple:
+    """A sample's class indices: binary is 0 (benign) or 1 (malicious),
+    category and family are non-negative, and family may be missing."""
+
     binary: int
     category: int
     family: int | None = None
+
+    def __post_init__(self):
+        if not _is_index(self.binary) or self.binary > 1:
+            raise UnknownLabel(f"binary label {self.binary!r} is not 0 or 1")
+        if not _is_index(self.category):
+            raise UnknownLabel(f"category label {self.category!r} is not a non-negative index")
+        if self.family is not None and not _is_index(self.family):
+            raise UnknownLabel(f"family label {self.family!r} is not a non-negative index")
 
     def at_level(self, level: str) -> int | None:
         if level not in LABEL_LEVELS:
             raise ValueError(f"unknown label level {level!r}")
         return getattr(self, level)
+
+    def to_dict(self) -> dict[str, int]:
+        """The levels this triple holds, in LABEL_LEVELS order."""
+        return {level: getattr(self, level) for level in LABEL_LEVELS
+                if getattr(self, level) is not None}
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +150,6 @@ class FlowDataset:
     @property
     def feature_dim(self) -> int:
         return len(self.feature_names)
-
-    def num_classes(self, level: str) -> int:
-        return len(self.class_maps.get(level, {}))
 
     def class_names(self, level: str) -> list[str]:
         mapping = self.class_maps.get(level, {})
@@ -330,36 +346,29 @@ def load_dataset(manifest_path) -> FlowDataset:
         raise EmptySample("manifest lists no samples")
     _check_unique_ids(entry["id"] for entry in entries)
 
+    # per entry, the label string of each level it holds
+    raw_labels: list[dict[str, str]] = []
+    for entry in entries:
+        labels = entry.get("labels") or {}
+        if not isinstance(labels, dict) or (
+                labels and (labels.get("binary") is None or labels.get("category") is None)):
+            raise UnknownLabel(f"sample {entry.get('id')!r} must carry binary and category labels")
+        raw_labels.append({level: str(labels[level]) for level in LABEL_LEVELS
+                           if labels.get(level) is not None})
+
     # family filtering happens on label strings, before any file is read
-    family_counts: dict[str, int] = {}
-    for entry in entries:
-        fam = entry.get("labels", {}).get("family")
-        if fam is not None:
-            family_counts[fam] = family_counts.get(fam, 0) + 1
-    kept_entries = []
-    for entry in entries:
-        fam = entry.get("labels", {}).get("family")
-        if fam is not None and family_counts[fam] < min_family_count:
-            continue
-        kept_entries.append(entry)
-    dropped = len(entries) - len(kept_entries)
+    family_counts = Counter(raw.get("family") for raw in raw_labels)
+    kept = [(entry, raw) for entry, raw in zip(entries, raw_labels)
+            if "family" not in raw or family_counts[raw["family"]] >= min_family_count]
+    dropped = len(entries) - len(kept)
     if dropped:
         logger.info("dropped %d samples from families below %d members", dropped, min_family_count)
-    if not kept_entries:
+    if not kept:
         raise EmptySample("family filtering removed every sample")
-
-    raw_labels: dict[str, list] = {level: [] for level in LABEL_LEVELS}
-    for entry in kept_entries:
-        labels = entry.get("labels") or {}
-        if labels and ("binary" not in labels or "category" not in labels):
-            raise UnknownLabel(f"sample {entry.get('id')!r} must carry binary and category labels")
-        raw_labels["binary"].append(None if not labels else str(labels["binary"]))
-        raw_labels["category"].append(None if not labels else str(labels["category"]))
-        raw_labels["family"].append(None if labels.get("family") is None else str(labels["family"]))
 
     class_maps = {}
     for level in LABEL_LEVELS:
-        values = [v for v in raw_labels[level] if v is not None]
+        values = [raw[level] for _, raw in kept if level in raw]
         if values:
             class_maps[level] = _class_map(values, declared.get(level), level)
     if len(class_maps.get("binary", {})) > 2:
@@ -367,16 +376,10 @@ def load_dataset(manifest_path) -> FlowDataset:
 
     samples = []
     feature_names: tuple[str, ...] | None = None
-    for idx, entry in enumerate(kept_entries):
-        if raw_labels["binary"][idx] is None:
-            triple = None
-        else:
-            fam = raw_labels["family"][idx]
-            triple = LabelTriple(
-                binary=class_maps["binary"][raw_labels["binary"][idx]],
-                category=class_maps["category"][raw_labels["category"][idx]],
-                family=None if fam is None else class_maps["family"][fam],
-            )
+    for entry, raw in kept:
+        triple = None
+        if raw:
+            triple = LabelTriple(**{level: class_maps[level][name] for level, name in raw.items()})
         file_path = os.path.join(base_dir, entry["file"])
         sample, names = _parse_flow_file(
             file_path, schema, sample_id=entry["id"], labels=triple, strict=strict
@@ -397,21 +400,13 @@ def load_dataset(manifest_path) -> FlowDataset:
 def _check_benign_consistency(dataset: FlowDataset) -> None:
     """Benign samples must share one category (and family) index that no
     malicious sample uses."""
-    labeled = [s for s in dataset.samples if s.labels is not None]
-    benign_cats = {s.labels.category for s in labeled if s.labels.binary == 0}
-    mal_cats = {s.labels.category for s in labeled if s.labels.binary == 1}
-    if benign_cats and (len(benign_cats) > 1 or benign_cats & mal_cats):
-        raise UnknownLabel(
-            "benign samples must map to exactly one category index unused by malicious samples"
-        )
-    benign_fams = {s.labels.family for s in labeled
-                   if s.labels.binary == 0 and s.labels.family is not None}
-    mal_fams = {s.labels.family for s in labeled
-                if s.labels.binary == 1 and s.labels.family is not None}
-    if benign_fams and (len(benign_fams) > 1 or benign_fams & mal_fams):
-        raise UnknownLabel(
-            "benign samples must map to exactly one family index unused by malicious samples"
-        )
+    labeled = [s.labels for s in dataset.samples if s.labels is not None]
+    for level in ("category", "family"):
+        benign = {t.at_level(level) for t in labeled if t.binary == 0} - {None}
+        malicious = {t.at_level(level) for t in labeled if t.binary == 1} - {None}
+        if benign and (len(benign) > 1 or benign & malicious):
+            raise UnknownLabel(f"benign samples must map to exactly one {level} index "
+                               "unused by malicious samples")
 
 
 def save_dataset(dataset: FlowDataset, out_dir, strict: bool = True,
@@ -436,12 +431,8 @@ def save_dataset(dataset: FlowDataset, out_dir, strict: bool = True,
             for src, dst, cells in zip(flows.src_ips, flows.dst_ips,
                                        serialize.format_rows(flows.features)):
                 writer.writerow([src, dst, *cells])
-        labels = {}
-        if sample.labels is not None:
-            labels["binary"] = names["binary"][sample.labels.binary]
-            labels["category"] = names["category"][sample.labels.category]
-            if sample.labels.family is not None:
-                labels["family"] = names["family"][sample.labels.family]
+        labels = {} if sample.labels is None else {
+            level: names[level][index] for level, index in sample.labels.to_dict().items()}
         entries.append({"id": sample.sample_id, "file": rel, "labels": labels})
 
     manifest = {

@@ -49,28 +49,24 @@ def auroc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative.
 
     Computed exactly from mid-ranks, so tied scores contribute one half.
-    Labels are binary with 1 as the positive class.
+    Labels are binary with 1 as the positive class; scores must not be NaN.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(labels, dtype=np.intp).ravel()
+    y = np.asarray(labels).ravel()
     if s.shape != y.shape:
         raise ValueError("scores and labels must have the same length")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError(f"AUROC labels must be 0 or 1, got {sorted(set(y.tolist()) - {0, 1})}")
+    if np.isnan(s).any():
+        raise ValueError("AUROC scores must not be NaN")
     n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
+    n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs at least one positive and one negative")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # 1-based mid-rank over the tie group [i, j]
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    rank_sum = ranks[y == 1].sum()
+    # 1-based mid-rank of each tie group: its last rank less half its extra members
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    mid_ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum = mid_ranks[group][y == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

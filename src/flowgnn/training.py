@@ -353,7 +353,7 @@ class ProtocolSpec:
         if self.task not in SUPERVISED_TASKS + ("unsupervised",):
             raise ValueError(f"unknown task {self.task!r}")
         if self.variant not in ALL_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {ALL_VARIANTS}")
         if (self.variant in CLASSIFIERS) != (self.task != "unsupervised"):
             raise ValueError(f"variant {self.variant!r} does not fit task {self.task!r}")
         if self.variant in MLP_VARIANTS and self.feature_set is None:

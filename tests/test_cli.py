@@ -129,6 +129,22 @@ class TestTrain:
         ck = serialize.load_path(tmp_path / "o" / "checkpoint.json")
         assert ck["config"]["num_hidden"] == 4
 
+    def test_set_split_field_reaches_spec(self, workspace, tmp_path):
+        root, _, out_dir = workspace
+        config = train_config(root, out_dir)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path),
+                     "--set", "split.train_fraction=0.3"]) == 0
+        split = serialize.load_path(tmp_path / "checkpoint.json")["run_info"]["split"]
+        assert split == {"quota": 10, "val_fraction": 0.2, "train_fraction": 0.3,
+                         "unsup_val_fraction": 0.1}
+
+    def test_unknown_split_key_exit_2(self, workspace, tmp_path):
+        root, _, out_dir = workspace
+        config = train_config(root, out_dir)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path),
+                     "--set", "split.trian_fraction=0.3"]) == 2
+        assert not (tmp_path / "checkpoint.json").exists()
+
 
 class TestGridSearch:
     def test_grid_of_one_matches_train(self, workspace, tmp_path):
@@ -275,6 +291,50 @@ class TestEvaluateAndScore:
                          "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "labelled.csv").read_bytes() == \
                (tmp_path / "unlabelled.csv").read_bytes()
+
+
+class TestStrayLabels:
+    """A graphs.jsonl label outside the encoding fails before any metric."""
+
+    @pytest.fixture
+    def stray(self, workspace, tmp_path):
+        _, _, out_dir = workspace
+        lines = (out_dir / "graphs.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["labels"]["binary"] = 2
+        path = tmp_path / "stray.jsonl"
+        path.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        return path
+
+    def test_train_and_evaluate_exit_1(self, workspace, stray, tmp_path, capsys):
+        root, _, out_dir = workspace
+        config = train_config(root, out_dir, variant="ae", task="unsupervised")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "ok")]) == 0
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "ok" / "checkpoint.json"),
+                     "--data", str(stray), "--out", str(tmp_path / "ok")]) == 1
+        assert not (tmp_path / "ok" / "metrics.json").exists()
+        assert main(["train", "--config", str(config), "--set", f"data={stray}",
+                     "--out", str(tmp_path / "bad")]) == 1
+        assert "graph 's00000': binary label 2 is not 0 or 1" in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--manifest", "m.json", "--seed", "1"],
+        ["train", "--config", "c.json", "--workers", "2"],
+        ["score", "--checkpoint", "c.json", "--data", "g.jsonl", "--config", "x"],
+    ], ids=["extract_seed", "train_workers", "score_config"])
+    def test_flag_the_command_does_not_read_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_extract_help_lists_only_its_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["extract", "--help"])
+        flags = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
+        assert flags == {"--help", "--manifest", "--out"}
 
 
 def test_console_entry_point_runs():

@@ -544,7 +544,12 @@ class TestGraphJsonl:
         (lambda rec: rec["edges"].__setitem__(0, [-1, 1]), "edge index"),
         (lambda rec: rec["edges"].__setitem__(0, [0, 2]), "edge index"),
         (lambda rec: rec["x"].pop(), "feature rows"),
-    ], ids=["negative_index", "index_past_nodes", "short_x"])
+        (lambda rec: rec["labels"].__setitem__("binary", 2), "binary label 2 is not 0 or 1"),
+        (lambda rec: rec["labels"].__setitem__("binary", 0.9), "binary label 0.9"),
+        (lambda rec: rec["labels"].__setitem__("family", -1), "family label -1"),
+        (lambda rec: rec["labels"].pop("category"), "category label None"),
+    ], ids=["negative_index", "index_past_nodes", "short_x", "binary_2", "binary_fraction",
+            "negative_family", "no_category"])
     def test_malformed_record_rejected(self, tmp_path, edit, message):
         path = tmp_path / "graphs.jsonl"
         write_graphs_jsonl([make_graph([(0, 1), (1, 0)], gid="bad")], path)

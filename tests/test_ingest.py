@@ -211,6 +211,19 @@ class TestDropMetadataColumns:
         assert table_columns(twice.samples[0].flows) == table_columns(once.samples[0].flows)
 
 
+class TestLabelTriple:
+    @pytest.mark.parametrize("values", [(2, 0), (-1, 0), (0.5, 0), (0, -1), (0, 1.0),
+                                        (1, 1, -2), (0, None), (None, 0)])
+    def test_out_of_range_rejected(self, values):
+        with pytest.raises(UnknownLabel):
+            LabelTriple(*values)
+
+    def test_to_dict_holds_present_levels_in_order(self):
+        assert LabelTriple(1, 2).to_dict() == {"binary": 1, "category": 2}
+        assert list(LabelTriple(0, 0, 0).to_dict().items()) == \
+            [("binary", 0), ("category", 0), ("family", 0)]
+
+
 def write_manifest(tmp_path, samples, schema=None, **extra):
     manifest = {
         "samples": samples,
@@ -280,6 +293,29 @@ class TestLoadDataset:
             {"id": "b", "file": "b.csv", "labels": {"binary": "malware", "category": "adware"}},
         ]
         with pytest.raises(UnknownLabel):
+            load_dataset(write_manifest(tmp_path, entries, min_family_count=0))
+
+    @pytest.mark.parametrize("labels", [{"binary": None, "category": "benign"},
+                                        {"binary": "benign"}, "benign"])
+    def test_labeled_sample_needs_binary_and_category(self, tmp_path, labels):
+        write_csv(tmp_path / "a.csv", ["src", "dst", "f1"], [["a", "b", 1.0]])
+        entries = [{"id": "a", "file": "a.csv", "labels": labels}]
+        with pytest.raises(UnknownLabel, match="'a' must carry binary and category"):
+            load_dataset(write_manifest(tmp_path, entries, min_family_count=0))
+
+    def test_null_labels_load_unlabeled(self, tmp_path):
+        write_csv(tmp_path / "a.csv", ["src", "dst", "f1"], [["a", "b", 1.0]])
+        entries = [{"id": "a", "file": "a.csv", "labels": None}]
+        ds = load_dataset(write_manifest(tmp_path, entries, min_family_count=9))
+        assert ds.samples[0].labels is None and ds.class_maps == {}
+
+    def test_benign_family_consistency_enforced(self, tmp_path):
+        entries = []
+        for sid, binary, family in (("a", "benign", "f1"), ("b", "malware", "f1")):
+            write_csv(tmp_path / f"{sid}.csv", ["src", "dst", "f1"], [["a", "b", 1.0]])
+            entries.append({"id": sid, "file": f"{sid}.csv", "labels": {
+                "binary": binary, "category": binary, "family": family}})
+        with pytest.raises(UnknownLabel, match="one family index"):
             load_dataset(write_manifest(tmp_path, entries, min_family_count=0))
 
     def test_duplicate_sample_id_rejected(self, tmp_path):

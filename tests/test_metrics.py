@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowgnn.metrics import MetricReport, auroc, per_class_precision_recall, weighted_f1
@@ -34,6 +34,29 @@ def auroc_oracle(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def auroc_tie_loop(scores, labels):
+    """Mid-ranks from a walk over the stably sorted scores, one tie group at
+    a time: the ranking auroc used before it took tie groups from np.unique."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    y = np.asarray(labels, dtype=np.intp).ravel()
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    order = np.argsort(s, kind="mergesort")
+    ranks = np.empty(s.size, dtype=np.float64)
+    sorted_scores = s[order]
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        # 1-based mid-rank over the tie group [i, j]
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum = ranks[y == 1].sum()
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
 
 
 class TestWeightedF1:
@@ -87,6 +110,26 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auroc([0.1, 0.2], [1, 1])
+
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1.5, 0, 1]])
+    def test_label_outside_0_1_rejected(self, labels):
+        # a stray label once counted as neither class and gave 2.0
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            auroc([0.9, 0.1, 0.5], labels)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auroc([0.9, float("nan"), 0.5], [1, 0, 0])
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0]),
+                  st.floats(allow_nan=False, width=64)),
+        st.integers(0, 1)), min_size=2, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_heavy_ties_match_tie_loop_exactly(self, pairs):
+        scores, labels = zip(*pairs)
+        assume(0 < sum(labels) < len(labels))
+        assert auroc(scores, labels) == auroc_tie_loop(scores, labels)
 
     def test_matches_oracle_random(self, rng):
         for _ in range(500):

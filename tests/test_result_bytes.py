@@ -10,10 +10,17 @@ these bytes is a change of results.
 `test_extract_csvs_hold_feature_matrix_rows` checks that each feature CSV
 that `flowgnn extract` writes holds `feature_matrix` of its set, row for
 row and digit for digit.
+
+`cli_digests` hashes every file that `flowgnn train`, `evaluate` and
+`score` write for a clf model on graphs.jsonl and for an mlp_oc model on a
+dataset manifest, checkpoint run info included. Its expected digests were
+recorded with the code whose CLI re-typed the protocol spec's split
+defaults and wrote each label record by hand.
 """
 
 import csv
 import hashlib
+import json
 import os
 
 import pytest
@@ -46,6 +53,19 @@ EXPECTED = {
     "clf_checkpoint.json": "47fe3808686a238173efc278ee41160bcc147c770e29c821648bb041df586148",
     "ae_scores": "df11920a6d35fd78dee6296051c484f1108b6c7acdd84266209a91d6e5988a21",
     "oc_scores": "76c6abeb35c68b57e44b785f93b22621649e0d495fa261cbb52b91c836eee0e2",
+}
+
+CLI_EXPECTED = {
+    "clf/checkpoint.json": "5a436e30545d53203570164db9029ecb670ee9afdd535f14936dc64e85103bd5",
+    "clf/history.json": "834f6f9f0d1a9cfe908ccd76bbab89829f14276a180109fc40dfaadf1d3b4c55",
+    "clf/metrics.json": "400cd17db74a7908ff8e6dddc1b69fd768c48326cd233c501fde00570f3cc931",
+    "clf/metrics.csv": "2ac32ec35deabf7af8d654323f12c01d146e33d3975a12a81659990b02b405ba",
+    "clf/scores.csv": "ec6c137780d91aa8c68d27c121a50fa4e01f26e081594e966e09f418700f66e2",
+    "mlp_oc/checkpoint.json": "7816aea528032b79b458fd99341a7148250b4f3b77510cb6e80862088f0ee2d6",
+    "mlp_oc/history.json": "ad2cf474cbb530974260a1692d46a42fbd2001f9f7bb1e32cef7c16d22628219",
+    "mlp_oc/metrics.json": "83b2c8a50a72610784566ba29998632118e7ea2e6ef94aea3cdb9b7016629f91",
+    "mlp_oc/metrics.csv": "a4ba889a4df20f705f6257d72ec9fb0d5c06d0156c27df75e8dde0eea81a2889",
+    "mlp_oc/scores.csv": "95f3c2e2b085ecd1c79a397205a13c655f38dd188557c673e8936588f783e334",
 }
 
 
@@ -99,6 +119,44 @@ def result_digests(root) -> dict[str, str]:
 
 def test_results_byte_identical(tmp_path):
     assert result_digests(tmp_path) == EXPECTED
+
+
+CLI_RUNS = {
+    # name: (data, config without data); mlp_oc keeps the default split
+    "clf": ("graphs.jsonl", {
+        "task": "binary", "variant": "clf", "split": {"quota": 10, "val_fraction": 0.3},
+        "train": {"num_hidden": 8, "learning_rate": 1e-2, "dropout": 0.2, "max_epochs": 3},
+    }),
+    "mlp_oc": ("data/manifest.json", {
+        "task": "unsupervised", "variant": "mlp_oc", "feature_set": "combined",
+        "train": {"num_hidden": 8, "max_epochs": 4},
+    }),
+}
+
+
+def cli_digests() -> dict[str, str]:
+    """Digests of the CLI's train, evaluate and score outputs, run in the
+    current directory so that the data paths in run info are relative."""
+    save_dataset(_data()[0], "data")
+    assert main(["extract", "--manifest", "data/manifest.json", "--out", "."]) == 0
+    out = {}
+    for name, (data, config) in CLI_RUNS.items():
+        with open(f"{name}.json", "w", encoding="utf-8") as fp:
+            json.dump({"data": data, **config}, fp)
+        assert main(["train", "--config", f"{name}.json", "--seed", "5", "--out", name]) == 0
+        assert main(["evaluate", "--checkpoint", f"{name}/checkpoint.json",
+                     "--out", name]) == 0
+        assert main(["score", "--checkpoint", f"{name}/checkpoint.json", "--data", data,
+                     "--out", f"{name}/scores.csv"]) == 0
+        for file in ("checkpoint.json", "history.json", "metrics.json", "metrics.csv",
+                     "scores.csv"):
+            out[f"{name}/{file}"] = _digest(os.path.join(name, file))
+    return out
+
+
+def test_cli_outputs_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digests() == CLI_EXPECTED
 
 
 @pytest.mark.parametrize("feature_set", ["flow", "graph", "combined"])
