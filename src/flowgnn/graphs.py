@@ -316,6 +316,22 @@ def _assortativity(adj: list[set[int]]) -> float:
     return float(((x - x.mean()) * (y - y.mean())).mean() / np.sqrt(vx * vy))
 
 
+def _neighbor_means(adj: list[set[int]], degrees: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each node's mean of values over its neighbours; 0 without neighbours.
+
+    One (nodes, d) matrix per distinct degree d, each row a node's
+    neighbour values in set order: a row's mean sums pairwise exactly as
+    np.mean of that list does, so every bit matches a per-node np.mean.
+    """
+    out = np.zeros(len(adj))
+    for d in np.unique(degrees[degrees > 0]).tolist():
+        nodes = np.flatnonzero(degrees == d)
+        neighbors = np.fromiter(chain.from_iterable(adj[v] for v in nodes), dtype=np.intp,
+                                count=len(nodes) * d)
+        out[nodes] = values[neighbors].reshape(-1, d).mean(axis=1)
+    return out
+
+
 def structural_features(graph: FlowGraph) -> StructuralFeatures:
     """Two global and five aggregations of eight per-node features.
 
@@ -342,12 +358,10 @@ def structural_features(graph: FlowGraph) -> StructuralFeatures:
     avg_neighbor_degree = np.zeros(n)
     has_neighbors = degrees > 0
     avg_neighbor_degree[has_neighbors] = neighbor_degrees[has_neighbors] / degrees[has_neighbors]
+    avg_neighbor_clustering = _neighbor_means(adj, degrees, clustering)
     two_hop = np.zeros(n)
-    avg_neighbor_clustering = np.zeros(n)
     for v in range(n):
         neigh = adj[v]
-        if neigh:
-            avg_neighbor_clustering[v] = float(np.mean([clustering[u] for u in neigh]))
         second = set()
         for u in neigh:
             second.update(adj[u])
@@ -427,6 +441,8 @@ def read_graphs_jsonl(path) -> list[FlowGraph]:
             rec = json.loads(line)
             raw = rec.get("labels")
             try:
+                if raw is not None and not isinstance(raw, dict):
+                    raise UnknownLabel(f"labels must be an object, not {type(raw).__name__}")
                 labels = None if raw is None else LabelTriple(*map(raw.get, LABEL_LEVELS))
             except UnknownLabel as exc:
                 raise UnknownLabel(f"graph {rec['id']!r}: {exc}") from None

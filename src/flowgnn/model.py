@@ -47,6 +47,9 @@ from .nn import (
 
 VARIANTS = ("clf", "ae", "oc")
 POOLS = ("mean", "add", "max")
+# Eval passes run the encoder over blocks of whole graphs whose edge rows
+# times num_hidden stay within this many cells, so activations stay in cache.
+EVAL_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +136,19 @@ class GraphBatch:
     def num_nodes(self) -> int:
         return int(self.node_offsets[-1])
 
+    def graphs(self, lo: int, hi: int) -> "GraphBatch":
+        """Graphs lo:hi as a batch of their own; x is a view, not a copy."""
+        e_lo, e_hi = self.edge_offsets[lo], self.edge_offsets[hi]
+        shift = self.node_offsets[lo]
+        return GraphBatch(
+            x=self.x[e_lo:e_hi],
+            src=self.src[e_lo:e_hi] - shift,
+            dst=self.dst[e_lo:e_hi] - shift,
+            weights=self.weights[e_lo:e_hi],
+            node_offsets=self.node_offsets[lo:hi + 1] - shift,
+            edge_offsets=self.edge_offsets[lo:hi + 1] - e_lo,
+        )
+
 
 def make_batch(items: list[PreparedGraph]) -> GraphBatch:
     if not items:
@@ -149,6 +165,38 @@ def make_batch(items: list[PreparedGraph]) -> GraphBatch:
         node_offsets=node_offsets,
         edge_offsets=edge_offsets,
     )
+
+
+def row_slices_exact(k: int, n: int) -> bool:
+    """Whether rows a:b of an (m, k) @ (k, n) product, b - a >= 2, equal
+    the product of rows a:b alone, bit for bit.
+
+    Measured with numpy 2.4.6 on OpenBLAS 0.3.31 (AVX-512): true for
+    k <= 384 when n % 8 is 0, 5, 6 or 7. Other shapes differ in the last
+    bits: n > 8 with n % 8 of 1 to 4 from k = 16 on, n = 4 once m * k * n
+    passes about 1e6, every n from k = 448 on, and one-row slices always.
+    tests/test_tensor.py checks every shape this admits.
+    """
+    return k <= 384 and n % 8 in (0, 5, 6, 7)
+
+
+def eval_block_bounds(edge_offsets, max_rows: int) -> list[int]:
+    """Split a batch into eval blocks: block k holds graphs bounds[k]:bounds[k + 1].
+
+    A block takes consecutive graphs while its edge rows stay within
+    max_rows, and always at least two graphs; a one-graph remainder joins
+    the previous block. Every matmul of a block then has at least two rows.
+    """
+    num_graphs = len(edge_offsets) - 1
+    ends = edge_offsets.tolist()
+    bounds = [0]
+    for g in range(num_graphs):
+        start = bounds[-1]
+        if g - start >= 2 and ends[g + 1] - ends[start] > max_rows:
+            bounds.append(g)
+    if len(bounds) > 1 and num_graphs - bounds[-1] < 2:
+        bounds.pop()
+    return bounds + [num_graphs]
 
 
 class _Block:
@@ -390,18 +438,34 @@ class FlowGraphNetwork(Network):
         h = self.encode(batch, mode, rng)["h_final"]
         return segment_pool(h, batch.node_offsets, self.pool)
 
-    def embed(self, batch: GraphBatch) -> Tensor:
-        return self.pooled(batch, EVAL)
+    def _eval_bounds(self, batch: GraphBatch) -> list[int]:
+        """Eval blocks of EVAL_BLOCK_CELLS // num_hidden edge rows, or the
+        whole batch unless every encoder and decoder matmul slices exactly,
+        so blocked results match one whole-batch pass byte for byte."""
+        exact = all(row_slices_exact(b.dense.in_dim, b.dense.out_dim) for b in self.blocks())
+        max_rows = EVAL_BLOCK_CELLS // self.num_hidden if exact else len(batch.x)
+        return eval_block_bounds(batch.edge_offsets, max_rows)
 
-    def logits(self, batch: GraphBatch, mode: str = EVAL, rng=None) -> Tensor:
+    def _in_blocks(self, batch: GraphBatch, fn) -> np.ndarray:
+        """fn over each eval block of batch, its results stacked in graph order."""
+        bounds = self._eval_bounds(batch)
+        return np.concatenate([fn(batch.graphs(lo, hi)) for lo, hi in zip(bounds, bounds[1:])])
+
+    def embed(self, batch: GraphBatch) -> Tensor:
+        return Tensor(self._in_blocks(batch, lambda block: self.pooled(block, EVAL).data))
+
+    def _head(self, pooled: Tensor, mode: str, rng) -> Tensor:
         if self.variant != "clf":
             raise ValueError("logits are only defined for the classifier variant")
-        pooled = self.pooled(batch, mode, rng)
-        pooled = dropout(pooled, self.dropout_p, rng, mode)
-        return self.head(pooled)
+        return self.head(dropout(pooled, self.dropout_p, rng, mode))
+
+    def logits(self, batch: GraphBatch, mode: str = EVAL, rng=None) -> Tensor:
+        return self._head(self.pooled(batch, mode, rng), mode, rng)
 
     def predict_proba(self, batch: GraphBatch) -> np.ndarray:
-        return softmax_rows(self.logits(batch, EVAL)).data
+        # the head sees every pooled row at once: with fewer than four
+        # classes, a row slice of its matmul can differ from the whole
+        return softmax_rows(self._head(self.embed(batch), EVAL, None)).data
 
     # -- losses and scores ----------------------------------------------------
 
@@ -434,13 +498,16 @@ class FlowGraphNetwork(Network):
             return self.ae_loss(batch, mode, rng)
         return self.oc_loss(batch, mode, rng)
 
+    def _reconstruction_errors(self, batch: GraphBatch) -> np.ndarray:
+        """Squared Frobenius reconstruction error per graph, edge-normalized."""
+        sq = self.squared_errors(batch, EVAL).data
+        ends = batch.edge_offsets
+        return np.array([sq[lo:hi].sum() / (hi - lo) for lo, hi in zip(ends, ends[1:])])
+
     def anomaly_scores(self, batch: GraphBatch) -> np.ndarray:
         """Higher = more anomalous; eval mode, no dropout."""
         if self.variant == "ae":
-            # squared Frobenius reconstruction error per graph, edge-normalized
-            sq = self.squared_errors(batch, EVAL).data
-            ends = batch.edge_offsets
-            return np.array([sq[lo:hi].sum() / (hi - lo) for lo, hi in zip(ends, ends[1:])])
+            return self._in_blocks(batch, self._reconstruction_errors)
         if self.variant == "oc":
             return self._center_distances(batch)
         raise ValueError("anomaly scores are only defined for ae and oc variants")

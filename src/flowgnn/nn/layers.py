@@ -64,21 +64,23 @@ class BatchNorm:
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         if x.shape[1] != self.width:
             raise ShapeMismatch(f"batchnorm: width {x.shape[1]} != {self.width}")
+        n = x.shape[0]
         if mode == TRAIN:
-            if x.shape[0] < 2:
+            if n < 2:
                 raise BatchTooSmall("batch normalization needs >= 2 rows in train mode")
             mean = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
+            centered = x.data - mean
+            var = (centered * centered).sum(axis=0) / n  # np.var's own arithmetic
             self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
         elif mode == EVAL:
-            mean = self.running_mean
+            centered = x.data - self.running_mean
             var = self.running_var
         else:
             raise ValueError(f"unknown mode {mode!r}")
 
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x.data - mean) * inv_std
+        x_hat = centered * inv_std
         gamma, beta = self.gamma, self.beta
         out_data = x_hat * gamma.data
         if beta is not None:
@@ -86,7 +88,6 @@ class BatchNorm:
         _check_finite(out_data, "batchnorm")
 
         if mode == TRAIN:
-            n = x.shape[0]
 
             def backward(g: Array):
                 d_gamma = (g * x_hat).sum(axis=0, keepdims=True)

@@ -206,11 +206,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    out_data = np.where(mask, a.data, 0.0)
+    # the same bits as np.where(a > 0, a, 0.0) at a fraction of its cost:
+    # adding +0.0 turns a -0.0 that maximum kept into +0.0
+    out_data = np.maximum(a.data, 0.0)
+    out_data += 0.0
 
     def backward(g: Array):
-        return (g * mask,)
+        grad = (a.data > 0.0).astype(np.float64)  # a float mask multiplies faster than a bool one
+        grad *= g
+        return (grad,)
 
     return Tensor(out_data, (a,), backward)
 

@@ -317,6 +317,20 @@ class TestStrayLabels:
                      "--out", str(tmp_path / "bad")]) == 1
         assert "graph 's00000': binary label 2 is not 0 or 1" in capsys.readouterr().err
 
+    def test_labels_list_train_exit_1(self, workspace, tmp_path, capsys):
+        root, _, out_dir = workspace
+        lines = (out_dir / "graphs.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["labels"] = [1, 0]
+        path = tmp_path / "list_labels.jsonl"
+        path.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        config = train_config(root, out_dir, variant="ae", task="unsupervised")
+        assert main(["train", "--config", str(config), "--set", f"data={path}",
+                     "--out", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+        assert "graph 's00000': labels must be an object, not list" in err
+        assert "Traceback" not in err
+
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [

@@ -12,6 +12,7 @@ from flowgnn.errors import EmptyInput, FlowDataError
 from flowgnn.graphs import (
     STRUCTURAL_DIM,
     _betweenness,
+    _neighbor_means,
     _undirected_adjacency,
     aggregate_edge_features,
     build_flow_graph,
@@ -465,6 +466,18 @@ class TestStructuralFeatures:
         for adj in adjs:
             assert _betweenness(adj).tobytes() == loop_betweenness(adj).tobytes()
 
+    def test_neighbor_means_bit_exact_against_np_mean(self):
+        g = np.random.default_rng(4)
+        adjs = extract_like_adjacencies() + odd_adjacencies() + [
+            nx_adjacency(nx.star_graph(999)),
+            nx_adjacency(nx.gnp_random_graph(300, 0.3, seed=6))]
+        for adj in adjs:
+            degrees = np.array([len(a) for a in adj], dtype=np.int64)
+            values = g.normal(scale=1e3, size=len(adj)) ** 3
+            want = np.array([float(np.mean([values[u] for u in neigh])) if neigh else 0.0
+                             for neigh in adj])
+            assert _neighbor_means(adj, degrees, values).tobytes() == want.tobytes()
+
     def test_betweenness_bit_exact_across_source_blocks(self, monkeypatch):
         adjs = [nx_adjacency(nx.convert_node_labels_to_integers(nx.grid_2d_graph(7, 9))),
                 nx_adjacency(nx.gnp_random_graph(40, 0.15, seed=5))] + odd_adjacencies()[:2]
@@ -548,8 +561,10 @@ class TestGraphJsonl:
         (lambda rec: rec["labels"].__setitem__("binary", 0.9), "binary label 0.9"),
         (lambda rec: rec["labels"].__setitem__("family", -1), "family label -1"),
         (lambda rec: rec["labels"].pop("category"), "category label None"),
+        (lambda rec: rec.__setitem__("labels", [1, 0]), "labels must be an object, not list"),
+        (lambda rec: rec.__setitem__("labels", "benign"), "labels must be an object, not str"),
     ], ids=["negative_index", "index_past_nodes", "short_x", "binary_2", "binary_fraction",
-            "negative_family", "no_category"])
+            "negative_family", "no_category", "labels_list", "labels_string"])
     def test_malformed_record_rejected(self, tmp_path, edit, message):
         path = tmp_path / "graphs.jsonl"
         write_graphs_jsonl([make_graph([(0, 1), (1, 0)], gid="bad")], path)

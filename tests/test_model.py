@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from flowgnn import model as model_module
 from flowgnn.errors import EmptyGraph, FlowDataError, ShapeMismatch
 from flowgnn.graphs import FlowGraph
 from flowgnn.model import (
+    POOLS,
     FlowGraphNetwork,
+    eval_block_bounds,
     make_batch,
     prepare_graph,
     propagation_matrices,
@@ -375,3 +378,72 @@ class TestBatching:
         assert batch.node_offsets.tolist() == [0] + np.cumsum(
             [g.num_nodes for g in graphs]).tolist()
         assert batch.edge_offsets[-1] == total_edges
+
+
+def sized_graph(rng, num_edges, d, gid):
+    """A random directed graph with exactly num_edges edges, every node touched."""
+    n = int(rng.integers(3, num_edges + 1))
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    while len(edges) < num_edges:
+        a, b = rng.integers(0, n, size=2)
+        edges.add((int(a), int(b)))
+    return FlowGraph(gid, tuple(f"n{v}" for v in range(n)), tuple(sorted(edges)),
+                     rng.normal(size=(num_edges, d)), tuple(f"c{i}" for i in range(d)), None)
+
+
+class TestEvalBlocks:
+    @pytest.mark.parametrize("counts, max_rows, want", [
+        ([6] * 7, 12, [0, 2, 4, 7]),
+        ([6] * 6, 12, [0, 2, 4, 6]),
+        ([40, 1, 1, 1, 1], 10, [0, 2, 5]),
+        ([3, 3, 3], 1, [0, 3]),
+        ([3], 1, [0, 1]),
+    ], ids=["remainder_joins_last", "even_split", "oversized_pairs_up", "two_then_one",
+            "single_graph"])
+    def test_block_rule(self, counts, max_rows, want):
+        assert eval_block_bounds(np.cumsum([0] + counts), max_rows) == want
+
+    def test_graphs_slice_is_a_batch_of_those_graphs(self):
+        rng = np.random.default_rng(2)
+        prepared = [prepare_graph(random_connected_graph(rng, gid=f"g{i}")) for i in range(6)]
+        batch = make_batch(prepared)
+        part, want = batch.graphs(2, 5), make_batch(prepared[2:5])
+        for field in ("x", "src", "dst", "weights", "node_offsets", "edge_offsets"):
+            assert np.array_equal(getattr(part, field), getattr(want, field)), field
+        assert np.shares_memory(part.x, batch.x)
+
+    @pytest.mark.parametrize("pool", POOLS)
+    @pytest.mark.parametrize("h, in_dim", [(4, 5), (16, 5), (128, 5), (16, 9)])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("variant", ["clf", "ae", "oc"])
+    def test_blocked_equals_unblocked(self, monkeypatch, variant, layers, h, in_dim, pool):
+        graph_rng = np.random.default_rng(7)
+        batch = make_batch([prepare_graph(sized_graph(graph_rng, 6, in_dim, f"g{i}"))
+                            for i in range(7)])
+        model = build(variant, in_dim=in_dim, h=h, layers=layers, seed=11, num_classes=2,
+                      pool=pool)
+        state_rng = np.random.default_rng(5)
+        for bn in model.batch_norms():
+            bn.running_mean = state_rng.normal(size=h)
+            bn.running_var = state_rng.random(h) + 0.5
+            bn.gamma.data = state_rng.normal(size=(1, h))
+            if bn.beta is not None:
+                bn.beta.data = state_rng.normal(size=(1, h))
+        if variant == "oc":
+            model.center = state_rng.normal(size=(1, h))
+
+        def outputs():
+            scores = (model.predict_proba(batch) if variant == "clf"
+                      else model.anomaly_scores(batch))
+            return model.embed(batch).data.tobytes(), scores.tobytes()
+
+        # six edges per graph and room for 12 rows: blocks of 2, 2 and 2 + 1
+        # graphs, unless a matmul writes 4 columns, or 9 (the ae decoder's
+        # last layer at in_dim 9): rows of those products need not slice exactly
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_CELLS", 12 * h)
+        exact = h != 4 and not (variant == "ae" and in_dim == 9)
+        assert model._eval_bounds(batch) == ([0, 2, 4, 7] if exact else [0, 7])
+        blocked = outputs()
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_CELLS", 1 << 62)
+        assert model._eval_bounds(batch) == [0, 7]
+        assert blocked == outputs()

@@ -41,6 +41,24 @@ class TestBatchNorm:
         assert np.allclose(y.data.mean(axis=0), 0.0, atol=1e-6)
         assert np.allclose(y.data.var(axis=0), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("shift", [True, False])
+    def test_train_statistics_match_numpy_bit_for_bit(self, rng, shift):
+        x = rng.normal(loc=3.0, scale=7.0, size=(37, 5))
+        x[:, 1] = 2.5  # a constant column has variance exactly 0
+        x[:, 3] = rng.normal(scale=1e-200, size=37)
+        bn = BatchNorm(5, momentum=0.3, shift=shift)
+        bn.gamma.data = rng.normal(size=(1, 5))
+        if shift:
+            bn.beta.data = rng.normal(size=(1, 5))
+        y = bn(Tensor(x), "train")
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        want = (x - mean) * (1.0 / np.sqrt(var + bn.eps)) * bn.gamma.data
+        if shift:
+            want = want + bn.beta.data
+        assert y.data.tobytes() == want.tobytes()
+        assert bn.running_mean.tobytes() == (0.3 * mean).tobytes()
+        assert bn.running_var.tobytes() == (0.7 + 0.3 * var).tobytes()
+
     def test_running_stats_move_toward_batch(self, rng):
         bn = BatchNorm(2, momentum=0.1)
         x = rng.normal(loc=4.0, size=(50, 2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flowgnn.errors import NotScalarLoss, NumericalError, ShapeMismatch
+from flowgnn.model import row_slices_exact
 from flowgnn.nn import (
     EVAL,
     BatchNorm,
@@ -40,6 +41,25 @@ def test_dense_hand_multiplication():
     assert y.item() == pytest.approx(12.0)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 13, 16, 24, 32, 64, 128, 256])
+def test_matmul_row_slices_match_whole_product(n):
+    """Blocked eval passes rely on this: for the shapes row_slices_exact
+    admits, rows of X @ W computed alone equal the same rows of the whole
+    product, bit for bit. If a numpy or BLAS upgrade breaks it, eval
+    blocks in flowgnn.model are no longer byte-identical to one pass."""
+    for k in (1, 3, 4, 6, 16, 77, 128, 256, 384):
+        assert row_slices_exact(k, n)
+        rng = np.random.default_rng(1000 * k + n)
+        w = rng.normal(size=(k, n))
+        for total in (600, 5000):
+            x = rng.normal(size=(total, k))
+            whole = x @ w
+            for rows in (2, 3, 5, 7, 17, 100, 513):
+                for lo in (0, 1, total - rows):
+                    part = x[lo:lo + rows] @ w
+                    assert part.tobytes() == whole[lo:lo + rows].tobytes(), (k, total, rows, lo)
+
+
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
@@ -48,6 +68,29 @@ def test_matmul_shape_mismatch():
 def test_relu_values():
     y = relu(Tensor([[-1.0, 2.0]]))
     assert np.array_equal(y.data, [[0.0, 2.0]])
+
+
+def _relu_where(x):
+    """The np.where form of relu and its gradient, kept as the oracle."""
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), mask
+
+
+def test_relu_matches_where_form_bit_for_bit(rng):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edge = [0.0, -0.0, tiny, -tiny, 4 * tiny, -4 * tiny, 1e308, -1e308,
+            np.finfo(np.float64).max, -np.finfo(np.float64).max]
+    x = np.concatenate([edge, rng.normal(size=190), rng.normal(scale=1e-300, size=200)])
+    rng.shuffle(x)
+    x = x.reshape(20, 20)
+    g = rng.normal(size=x.shape)
+    g[0] = [0.0, -0.0] * 10  # signed zero gradients keep their sign through the mask
+    a = Parameter(x, "a")
+    y = relu(a)
+    want, mask = _relu_where(x)
+    assert y.data.tobytes() == want.tobytes()
+    (grad,) = y._backward(g)
+    assert grad.tobytes() == (g * mask).tobytes()
 
 
 def test_softmax_symmetry():
