@@ -332,15 +332,15 @@ FLAGS = {
 CONFIG_FLAGS = ("config", "seed", "set", "out")
 CHECKPOINT_FLAGS = ("checkpoint", "data", "out")
 
-# command: (function, help, the flags it reads)
+# command: (help, the flags it reads); command X runs cmd_X, looked up by
+# name when it runs, so a wrapper installed on this module later is called
 COMMANDS = {
-    "extract": (cmd_extract, "flows to graphs.jsonl plus feature CSVs", ("manifest", "out")),
-    "synth": (cmd_synth, "generate a synthetic flow dataset from a --config spec", CONFIG_FLAGS),
-    "train": (cmd_train, "train one model on one split", CONFIG_FLAGS),
-    "gridsearch": (cmd_gridsearch, "exhaustive hyperparameter search",
-                   CONFIG_FLAGS + ("workers",)),
-    "evaluate": (cmd_evaluate, "metrics for a checkpoint on its splits", CHECKPOINT_FLAGS),
-    "score": (cmd_score, "per-graph scores or class probabilities", CHECKPOINT_FLAGS),
+    "extract": ("flows to graphs.jsonl plus feature CSVs", ("manifest", "out")),
+    "synth": ("generate a synthetic flow dataset from a --config spec", CONFIG_FLAGS),
+    "train": ("train one model on one split", CONFIG_FLAGS),
+    "gridsearch": ("exhaustive hyperparameter search", CONFIG_FLAGS + ("workers",)),
+    "evaluate": ("metrics for a checkpoint on its splits", CHECKPOINT_FLAGS),
+    "score": ("per-graph scores or class probabilities", CHECKPOINT_FLAGS),
 }
 
 
@@ -350,11 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Flow-graph extraction, training and scoring",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, flags) in COMMANDS.items():
+    for command, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
-        p.set_defaults(func=func)
     return parser
 
 
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         logger.error("%s", exc)
         return 2

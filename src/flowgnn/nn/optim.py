@@ -26,12 +26,30 @@ class Adam:
             p.grad = np.zeros_like(p.data)
 
     def step(self) -> None:
+        """Update every parameter from its .grad.
+
+        m and v are updated in place; p.data gets a new array, since a
+        saved model state may still hold the old one. The arithmetic is
+        the textbook expression's, operation for operation, so the bits
+        match it: (1 - beta2) * g * g is ((1 - beta2) * g) * g and lr
+        scales m_hat before the divide.
+        """
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
+        m_scale = 1.0 - self.beta1 ** t
+        v_scale = 1.0 - self.beta2 ** t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g_sq = (1.0 - self.beta2) * g
+            g_sq *= g
+            v *= self.beta2
+            v += g_sq
+            update = m / m_scale
+            update *= self.lr
+            denom = v / v_scale
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p.data = p.data - update

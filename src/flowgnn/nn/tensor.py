@@ -3,7 +3,11 @@
 Every operation records its parents and a closure computing parent
 gradients from the output gradient. Calling backward() on a 1x1 loss
 walks the tape in reverse topological order and (re)populates .grad on
-every tensor it visited; gradients never accumulate across calls.
+every leaf it visited (a tensor without a backward closure: parameters
+and inputs); gradients never accumulate across calls. Intermediate
+tensors keep .grad = None, and each one's gradient is dropped as soon as
+its closure has run, so a backward pass holds only the gradients still
+waiting to be consumed. The tape stays intact and can be walked again.
 
 Leaf tensors are checked for NaN/Inf when they are built; every op checks
 its own result once and raises NumericalError naming itself, so a
@@ -77,7 +81,11 @@ class Tensor:
         return mul(self, other)
 
     def backward(self) -> None:
-        """Populate .grad for every tensor reachable from this scalar loss."""
+        """Populate .grad on every leaf reachable from this scalar loss.
+
+        Only tensors without a backward closure (parameters and inputs) get
+        .grad; an intermediate gradient is freed once its closure has run.
+        """
         if self.data.size != 1:
             raise NotScalarLoss(f"loss must be 1x1, got shape {self.shape}")
         order: list[Tensor] = []
@@ -99,10 +107,13 @@ class Tensor:
         # visited every consumer has already deposited its contribution
         grads: dict[int, Array] = {id(self): np.ones((1, 1))}
         for node in reversed(order):
-            node.grad = grads.get(id(node))
-            if node.grad is None or node._backward is None:
+            grad = grads.pop(id(node), None)
+            if node._backward is None:
+                node.grad = grad
                 continue
-            for parent, contribution in zip(node._parents, node._backward(node.grad)):
+            if grad is None:
+                continue
+            for parent, contribution in zip(node._parents, node._backward(grad)):
                 if contribution is None:
                     continue
                 key = id(parent)

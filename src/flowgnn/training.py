@@ -252,8 +252,9 @@ def train(job: TrainJob,
                 loss = model.loss(job.batch(chunk), job.targets(chunk), mode=TRAIN, rng=rng)
                 optimizer.zero_grad()
                 loss.backward()
-                optimizer.step()
                 losses.append(loss.item())
+                del loss  # frees this step's tape before the update and the next forward
+                optimizer.step()
             score = criterion_fn(model, epoch) if criterion_fn is not None else val_score()
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from exc

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from flowgnn import serialize
+from flowgnn import cli, serialize
 from flowgnn.cli import main
 
 
@@ -74,6 +74,14 @@ class TestExtract:
         _, _, out_dir = workspace
         lines = (out_dir / "graphs.jsonl").read_text().strip().splitlines()
         assert len(lines) == 60
+
+    def test_dispatch_runs_the_current_module_function(self, tmp_path, monkeypatch):
+        # a wrapper installed on flowgnn.cli after import (as a tracer does)
+        # is the function main calls
+        seen = []
+        monkeypatch.setattr(cli, "cmd_extract", lambda args: seen.append(args.manifest) or 0)
+        assert main(["extract", "--manifest", "m.json", "--out", str(tmp_path)]) == 0
+        assert seen == ["m.json"]
 
     def test_missing_manifest_exit_2(self, tmp_path):
         assert main(["extract", "--manifest", str(tmp_path / "nope.json"),

@@ -140,6 +140,33 @@ class TestAdam:
             results.append(p.data.copy())
         assert np.array_equal(results[0], results[1])
 
+    def test_matches_textbook_expressions_bit_for_bit(self, rng):
+        shapes = [(5, 3), (1, 3), (16, 16), (1, 1)]
+        params = [Parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(shapes)]
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        expected = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) for s in shapes]
+            before = [p.data for p in params]
+            snapshots = [d.copy() for d in before]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                m_hat = m[i] / (1.0 - b1 ** t)
+                v_hat = v[i] / (1.0 - b2 ** t)
+                expected[i] = expected[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                # a saved state holding the old array keeps its values
+                assert params[i].data is not before[i]
+                assert np.array_equal(before[i], snapshots[i])
+        for p, e in zip(params, expected):
+            assert p.data.tobytes() == e.tobytes()
+
 
 class TestDense:
     def test_bias_free_mode(self, rng):

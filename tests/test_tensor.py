@@ -150,6 +150,24 @@ def test_backward_resets_accumulation():
     assert np.array_equal(w.grad, first)  # not doubled
 
 
+def test_backward_sets_grad_on_leaves_only(rng):
+    x = Tensor(rng.normal(size=(4, 3)))
+    w = Parameter(rng.normal(size=(3, 2)), "w")
+    h = matmul(x, w)
+    r = relu(h)
+    loss = sum_all(mul(r, r))
+    loss.backward()
+    assert h.grad is None and r.grad is None and loss.grad is None
+    mask = (h.data > 0.0).astype(np.float64)
+    expected_h = 2.0 * h.data * mask
+    assert np.array_equal(w.grad, x.data.T @ expected_h)
+    assert np.array_equal(x.grad, expected_h @ w.data.T)
+    first = w.grad, x.grad
+    loss.backward()  # the tape can be walked again
+    assert np.array_equal(w.grad, first[0]) and np.array_equal(x.grad, first[1])
+    assert h.grad is None
+
+
 def test_duplicated_parent_accumulates():
     w = Parameter([[3.0]], "w")
     loss = sum_all(mul(w, w))

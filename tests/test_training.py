@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from flowgnn import serialize
 from flowgnn.graphs import build_flow_graph, feature_matrix
+from flowgnn.model import FlowGraphNetwork
 from flowgnn.synth import SynthSpec, synth_generate
 from flowgnn.training import (
     DEFAULT_GRIDS,
@@ -120,6 +123,54 @@ class TestTrainDeterminism:
         m1 = evaluate_metrics(job, result.model)
         m2 = evaluate_metrics(job, result.model)
         assert m1 == m2
+
+
+def tape_nodes(loss):
+    """Every tensor reachable from loss through its parents."""
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestTrainMemory:
+    def test_one_tape_at_a_time(self, small_task, monkeypatch):
+        # every earlier step's loss (and with it its tape) is gone by the
+        # time the next forward starts
+        _, graphs, labels = small_task
+        _, job, _ = make_clf_job(graphs, labels, max_epochs=3)
+        original = FlowGraphNetwork.loss
+        earlier, overlaps = [], []
+
+        def loss(self, *args, **kwargs):
+            overlaps.append(sum(ref() is not None for ref in earlier))
+            out = original(self, *args, **kwargs)
+            earlier.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(FlowGraphNetwork, "loss", loss)
+        train(job)
+        assert len(overlaps) >= 6
+        assert overlaps == [0] * len(overlaps)
+
+    def test_only_leaves_keep_gradients(self, small_task):
+        _, graphs, labels = small_task
+        _, job, _ = make_clf_job(graphs, labels, max_epochs=1)
+        model = train(job).model
+        chunk = np.asarray(job.split.train[:16])
+        loss = model.loss(job.batch(chunk), job.targets(chunk), rng=np.random.default_rng(0))
+        loss.backward()
+        nodes = tape_nodes(loss)
+        inner = [n for n in nodes if n._backward is not None]
+        leaves = [n for n in nodes if n._backward is None]
+        assert inner and all(n.grad is None for n in inner)
+        assert {id(p) for p in model.parameters()} <= {id(n) for n in leaves}
+        assert len(leaves) > len(model.parameters())  # the edge inputs too
+        assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
 
 
 class TestGridSearch:
