@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from . import serialize
-from .errors import EmptyInput, FlowDataError, UnknownLabel
+from .errors import EmptyInput, FlowDataError, InconsistentDimension, UnknownLabel
 from .ingest import LABEL_LEVELS, FlowDataset, LabelTriple, SampleFlows
 
 AGGREGATIONS = ("mean", "median", "std", "skew", "kurt")
@@ -432,6 +432,8 @@ def write_graphs_jsonl(graphs, path) -> None:
 
 
 def read_graphs_jsonl(path) -> list[FlowGraph]:
+    """Every graph in the file; each x must be an (edges, feature_names)
+    matrix, and every graph must name the first graph's features."""
     graphs = []
     with open(path, "r", encoding="utf-8") as fp:
         for line in fp:
@@ -447,17 +449,25 @@ def read_graphs_jsonl(path) -> list[FlowGraph]:
             except UnknownLabel as exc:
                 raise UnknownLabel(f"graph {rec['id']!r}: {exc}") from None
             edges = tuple((int(s), int(t)) for s, t in rec["edges"])
-            x = np.asarray(rec["x"], dtype=np.float64)
             check_edge_indices(rec["id"], edges, len(rec["nodes"]))
-            if x.shape[0] != len(edges):
-                raise FlowDataError(f"graph {rec['id']!r}: {x.shape[0]} feature rows "
-                                    f"for {len(edges)} edges")
+            names = tuple(rec["feature_names"])
+            if graphs and names != graphs[0].feature_names:
+                raise InconsistentDimension(f"graph {rec['id']!r}: feature names differ from "
+                                            f"those of graph {graphs[0].sample_id!r}")
+            try:
+                x = np.asarray(rec["x"], dtype=np.float64)
+            except ValueError:
+                x = None  # ragged rows, or cells that are not numbers
+            if x is None or x.shape != ((len(edges), len(names)) if edges else (0,)):
+                got = "are not a numeric matrix" if x is None else f"have shape {x.shape}"
+                raise FlowDataError(f"graph {rec['id']!r}: feature rows {got}, expected "
+                                    f"{len(edges)} edges by {len(names)} feature names")
             graphs.append(FlowGraph(
                 sample_id=rec["id"],
                 nodes=tuple(rec["nodes"]),
                 edges=edges,
                 edge_features=x,
-                feature_names=tuple(rec["feature_names"]),
+                feature_names=names,
                 labels=labels,
             ))
     return graphs

@@ -167,19 +167,6 @@ def make_batch(items: list[PreparedGraph]) -> GraphBatch:
     )
 
 
-def row_slices_exact(k: int, n: int) -> bool:
-    """Whether rows a:b of an (m, k) @ (k, n) product, b - a >= 2, equal
-    the product of rows a:b alone, bit for bit.
-
-    Measured with numpy 2.4.6 on OpenBLAS 0.3.31 (AVX-512): true for
-    k <= 384 when n % 8 is 0, 5, 6 or 7. Other shapes differ in the last
-    bits: n > 8 with n % 8 of 1 to 4 from k = 16 on, n = 4 once m * k * n
-    passes about 1e6, every n from k = 448 on, and one-row slices always.
-    tests/test_tensor.py checks every shape this admits.
-    """
-    return k <= 384 and n % 8 in (0, 5, 6, 7)
-
-
 def eval_block_bounds(edge_offsets, max_rows: int) -> list[int]:
     """Split a batch into eval blocks: block k holds graphs bounds[k]:bounds[k + 1].
 
@@ -438,17 +425,9 @@ class FlowGraphNetwork(Network):
         h = self.encode(batch, mode, rng)["h_final"]
         return segment_pool(h, batch.node_offsets, self.pool)
 
-    def _eval_bounds(self, batch: GraphBatch) -> list[int]:
-        """Eval blocks of EVAL_BLOCK_CELLS // num_hidden edge rows, or the
-        whole batch unless every encoder and decoder matmul slices exactly,
-        so blocked results match one whole-batch pass byte for byte."""
-        exact = all(row_slices_exact(b.dense.in_dim, b.dense.out_dim) for b in self.blocks())
-        max_rows = EVAL_BLOCK_CELLS // self.num_hidden if exact else len(batch.x)
-        return eval_block_bounds(batch.edge_offsets, max_rows)
-
     def _in_blocks(self, batch: GraphBatch, fn) -> np.ndarray:
         """fn over each eval block of batch, its results stacked in graph order."""
-        bounds = self._eval_bounds(batch)
+        bounds = eval_block_bounds(batch.edge_offsets, EVAL_BLOCK_CELLS // self.num_hidden)
         return np.concatenate([fn(batch.graphs(lo, hi)) for lo, hi in zip(bounds, bounds[1:])])
 
     def embed(self, batch: GraphBatch) -> Tensor:

@@ -22,11 +22,13 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
+        """Clear every .grad; backward gives each parameter the loss reaches a new one."""
         for p in self.params:
-            p.grad = np.zeros_like(p.data)
+            p.grad = None
 
     def step(self) -> None:
-        """Update every parameter from its .grad.
+        """Update every parameter from its .grad; one whose .grad is None
+        (the loss did not reach it) keeps its value and moments.
 
         m and v are updated in place; p.data gets a new array, since a
         saved model state may still hold the old one. The arithmetic is
@@ -40,6 +42,8 @@ class Adam:
         v_scale = 1.0 - self.beta2 ** t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
+            if g is None:
+                continue
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             g_sq = (1.0 - self.beta2) * g

@@ -15,8 +15,9 @@ import csv
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from typing import Callable
 
@@ -309,6 +310,14 @@ class GridSearchResult:
     cells: list[dict] = field(default_factory=list)
 
 
+@contextmanager
+def _mapper(workers: int):
+    """The built-in map, or the map of a pool of `workers` processes; both
+    yield results in input order."""
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        yield map if pool is None else pool.map
+
+
 def grid_search(grid: dict[str, list], base_job: TrainJob,
                 workers: int = 1) -> GridSearchResult:
     """Exhaustive search; ties keep the earliest cell in grid order.
@@ -324,8 +333,8 @@ def grid_search(grid: dict[str, list], base_job: TrainJob,
     ]
     cells: list[dict] = []
     best_index, best_fit = 0, None
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for i, fit in enumerate(map(train, jobs) if pool is None else pool.map(train, jobs)):
+    with _mapper(workers) as map_:
+        for i, fit in enumerate(map_(train, jobs)):
             cells.append({"config": combos[i], "val_score": fit.best_val,
                           "best_epoch": fit.best_epoch})
             if best_fit is None or fit.best_val > best_fit.best_val:
@@ -432,26 +441,22 @@ def make_job(spec: ProtocolSpec, config: TrainConfig, split: SplitPlan,
     return job, standardizer
 
 
-def _one_repeat(args) -> dict:
-    spec, config, grid, seed, graphs, raw_features, labels_by_level, prop_cache = args
+def _one_repeat(seed: int, *, spec, config, grid, graphs, raw_features, labels_by_level,
+                prop_cache) -> dict:
+    """One protocol repeat on seed; the keywords are run_protocol's shared inputs."""
     split = make_split(spec, labels_by_level, seed)
     job, _ = make_job(spec, replace(config, seed=seed), split, graphs,
                       raw_features, labels_by_level, prop_cache)
-    if grid is not None:
-        searched = grid_search(grid, job)
-        fit = searched.best_fit
-        chosen = searched.best_config
-    else:
-        fit = train(job)
-        chosen = job.config
-    metrics = evaluate_metrics(replace(job, config=chosen), fit.model)
+    searched = grid_search(grid or {}, job)
+    fit = searched.best_fit
+    metrics = evaluate_metrics(replace(job, config=searched.best_config), fit.model)
     return {
         "seed": seed,
         "value": metrics["value"],
         "metric": metrics["metric"],
         "best_epoch": fit.best_epoch,
         "val_score": fit.best_val,
-        "config": chosen.to_dict(),
+        "config": searched.best_config.to_dict(),
     }
 
 
@@ -464,8 +469,9 @@ def run_protocol(spec: ProtocolSpec, graphs: list[FlowGraph],
     """Repeat the full pipeline on seeds root_seed .. root_seed+n-1.
 
     Each repeat draws a fresh split, refits the standardizer on that
-    split's training rows, trains (or grid-searches) and scores the test
-    split; propagation matrices depend on no split and are computed once.
+    split's training rows, grid-searches (no grid is the one cell {}) and
+    scores the test split; propagation matrices depend on no split and are
+    computed once.
     The report aggregates mean and standard deviation.
     """
     config = config if config is not None else TrainConfig(variant=spec.variant)
@@ -476,14 +482,11 @@ def run_protocol(spec: ProtocolSpec, graphs: list[FlowGraph],
     if spec.variant in GRAPH_VARIANTS:
         prop_cache = [propagation_matrices(g) for g in graphs]
 
-    seeds = [root_seed + i for i in range(n_repeats)]
-    arg_list = [(spec, config, grid, seed, graphs, raw_features, labels_by_level, prop_cache)
-                for seed in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_one_repeat, arg_list))
-    else:
-        runs = [_one_repeat(a) for a in arg_list]
+    repeat = partial(_one_repeat, spec=spec, config=config, grid=grid, graphs=graphs,
+                     raw_features=raw_features, labels_by_level=labels_by_level,
+                     prop_cache=prop_cache)
+    with _mapper(workers) as map_:
+        runs = list(map_(repeat, range(root_seed, root_seed + n_repeats)))
 
     report = MetricReport(
         task=spec.task,

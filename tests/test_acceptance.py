@@ -359,12 +359,16 @@ def test_criterion_11_round_trips(tmp_path):
         scaled = replace_features(graph, graph.edge_features
                                   * float(10.0 ** rng.integers(-12, 12)))
         graphs.append(scaled)
-    path = tmp_path / "graphs.jsonl"
-    write_graphs_jsonl(graphs, path)
-    loaded = read_graphs_jsonl(path)
-    for a, b in zip(loaded, graphs):
-        assert a.nodes == b.nodes and a.edges == b.edges and a.labels == b.labels
-        assert np.array_equal(a.edge_features, b.edge_features)
+    # one file per feature width: a graphs.jsonl holds graphs of one width
+    for d in range(1, 6):
+        group = [g for g in graphs if len(g.feature_names) == d]
+        path = tmp_path / f"graphs_{d}.jsonl"
+        write_graphs_jsonl(group, path)
+        loaded = read_graphs_jsonl(path)
+        assert len(loaded) == len(group)
+        for a, b in zip(loaded, group):
+            assert a.nodes == b.nodes and a.edges == b.edges and a.labels == b.labels
+            assert np.array_equal(a.edge_features, b.edge_features)
 
     from flowgnn.checkpoint import load_checkpoint, save_checkpoint
 

@@ -340,6 +340,20 @@ class TestStrayLabels:
         assert "Traceback" not in err
 
 
+def test_narrow_feature_rows_train_exit_1(workspace, tmp_path, capsys):
+    root, _, out_dir = workspace
+    lines = (out_dir / "graphs.jsonl").read_text().splitlines()
+    record = json.loads(lines[-1])
+    record["x"] = [row[:-2] for row in record["x"]]
+    path = tmp_path / "narrow.jsonl"
+    path.write_text("\n".join([*lines[:-1], json.dumps(record)]) + "\n")
+    config = train_config(root, out_dir)
+    assert main(["train", "--config", str(config), "--set", f"data={path}",
+                 "--out", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"graph {record['id']!r}: feature rows have shape" in err[0], err
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["extract", "--manifest", "m.json", "--seed", "1"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgnn import graphs
-from flowgnn.errors import EmptyInput, FlowDataError
+from flowgnn.errors import EmptyInput, FlowDataError, InconsistentDimension
 from flowgnn.graphs import (
     STRUCTURAL_DIM,
     _betweenness,
@@ -557,14 +557,20 @@ class TestGraphJsonl:
         (lambda rec: rec["edges"].__setitem__(0, [-1, 1]), "edge index"),
         (lambda rec: rec["edges"].__setitem__(0, [0, 2]), "edge index"),
         (lambda rec: rec["x"].pop(), "feature rows"),
+        (lambda rec: rec["x"][0].pop(), "feature rows are not a numeric matrix"),
+        (lambda rec: [row.pop() for row in rec["x"]],
+         r"shape \(2, 3\), expected 2 edges by 4 feature names"),
+        (lambda rec: rec["feature_names"].pop(),
+         r"shape \(2, 4\), expected 2 edges by 3 feature names"),
         (lambda rec: rec["labels"].__setitem__("binary", 2), "binary label 2 is not 0 or 1"),
         (lambda rec: rec["labels"].__setitem__("binary", 0.9), "binary label 0.9"),
         (lambda rec: rec["labels"].__setitem__("family", -1), "family label -1"),
         (lambda rec: rec["labels"].pop("category"), "category label None"),
         (lambda rec: rec.__setitem__("labels", [1, 0]), "labels must be an object, not list"),
         (lambda rec: rec.__setitem__("labels", "benign"), "labels must be an object, not str"),
-    ], ids=["negative_index", "index_past_nodes", "short_x", "binary_2", "binary_fraction",
-            "negative_family", "no_category", "labels_list", "labels_string"])
+    ], ids=["negative_index", "index_past_nodes", "short_x", "ragged_row", "narrow_x",
+            "short_names", "binary_2", "binary_fraction", "negative_family", "no_category",
+            "labels_list", "labels_string"])
     def test_malformed_record_rejected(self, tmp_path, edit, message):
         path = tmp_path / "graphs.jsonl"
         write_graphs_jsonl([make_graph([(0, 1), (1, 0)], gid="bad")], path)
@@ -572,4 +578,12 @@ class TestGraphJsonl:
         edit(rec)
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(FlowDataError, match=f"'bad'.*{message}"):
+            read_graphs_jsonl(path)
+
+    def test_mixed_feature_widths_rejected(self, tmp_path):
+        path = tmp_path / "graphs.jsonl"
+        write_graphs_jsonl([make_graph([(0, 1)], gid="four"),
+                            make_graph([(0, 1)], d=3, gid="three")], path)
+        with pytest.raises(InconsistentDimension,
+                           match="'three': feature names differ from those of graph 'four'"):
             read_graphs_jsonl(path)

@@ -350,21 +350,22 @@ class TestBatching:
                   for s in range(6)]
         prepared = [prepare_graph(g) for g in graphs]
         for variant in ("clf", "ae", "oc"):
-            model = build(variant, layers=2, seed=3)
-            if variant == "oc":
-                model.init_center(make_batch(prepared))
-            big = make_batch(prepared)
-            if variant == "clf":
-                batched = model.logits(big).data
-                single = np.vstack([
-                    model.logits(make_batch([p])).data for p in prepared
-                ])
-            else:
-                batched = model.anomaly_scores(big)
-                single = np.array([
-                    model.anomaly_scores(make_batch([p]))[0] for p in prepared
-                ])
-            np.testing.assert_allclose(batched, single, atol=1e-9)
+            for h in (5, 4):
+                model = build(variant, h=h, layers=2, seed=3)
+                if variant == "oc":
+                    model.init_center(make_batch(prepared))
+                big = make_batch(prepared)
+                if variant == "clf":
+                    batched = model.logits(big).data
+                    single = np.vstack([
+                        model.logits(make_batch([p])).data for p in prepared
+                    ])
+                else:
+                    batched = model.anomaly_scores(big)
+                    single = np.array([
+                        model.anomaly_scores(make_batch([p]))[0] for p in prepared
+                    ])
+                np.testing.assert_allclose(batched, single, atol=1e-9)
 
     def test_batch_offsets(self, rng):
         graphs = [random_connected_graph(np.random.default_rng(s)) for s in range(3)]
@@ -437,13 +438,42 @@ class TestEvalBlocks:
                       else model.anomaly_scores(batch))
             return model.embed(batch).data.tobytes(), scores.tobytes()
 
-        # six edges per graph and room for 12 rows: blocks of 2, 2 and 2 + 1
-        # graphs, unless a matmul writes 4 columns, or 9 (the ae decoder's
-        # last layer at in_dim 9): rows of those products need not slice exactly
+        # six edges per graph and room for 12 rows: blocks of 2, 2 and 2 + 1 graphs
         monkeypatch.setattr(model_module, "EVAL_BLOCK_CELLS", 12 * h)
-        exact = h != 4 and not (variant == "ae" and in_dim == 9)
-        assert model._eval_bounds(batch) == ([0, 2, 4, 7] if exact else [0, 7])
+        assert encoder_blocks(monkeypatch, lambda: model.embed(batch)) == [0, 2, 4, 7]
         blocked = outputs()
         monkeypatch.setattr(model_module, "EVAL_BLOCK_CELLS", 1 << 62)
-        assert model._eval_bounds(batch) == [0, 7]
+        assert encoder_blocks(monkeypatch, lambda: model.embed(batch)) == [0, 7]
         assert blocked == outputs()
+
+    @pytest.mark.parametrize("variant, h, in_dim", [
+        ("clf", 4, 5), ("ae", 4, 5), ("oc", 4, 5), ("ae", 16, 9),
+    ])
+    def test_every_model_scores_in_blocks(self, monkeypatch, variant, h, in_dim):
+        """Narrow hidden widths and ae decoders of any output width are
+        blocked too: one encoder pass per block in embed and in scoring."""
+        graph_rng = np.random.default_rng(7)
+        batch = make_batch([prepare_graph(sized_graph(graph_rng, 6, in_dim, f"g{i}"))
+                            for i in range(7)])
+        model = build(variant, in_dim=in_dim, h=h, seed=11, num_classes=2)
+        if variant == "oc":
+            model.center = np.zeros((1, h))
+        score = model.predict_proba if variant == "clf" else model.anomaly_scores
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_CELLS", 12 * h)
+        assert encoder_blocks(monkeypatch, lambda: model.embed(batch)) == [0, 2, 4, 7]
+        assert encoder_blocks(monkeypatch, lambda: score(batch)) == [0, 2, 4, 7]
+
+
+def encoder_blocks(monkeypatch, call) -> list[int]:
+    """Graph bounds of the encoder passes that call() makes, in order."""
+    sizes = []
+    encode = FlowGraphNetwork.encode
+
+    def counting(self, batch, *args, **kwargs):
+        sizes.append(batch.num_graphs)
+        return encode(self, batch, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FlowGraphNetwork, "encode", counting)
+        call()
+    return np.cumsum([0] + sizes).tolist()

@@ -129,6 +129,14 @@ class TestAdam:
         opt.step()
         assert p.data[0, 0] == pytest.approx(1.0)
 
+    def test_zero_grad_clears_every_grad(self):
+        params = [Parameter(np.ones((2, 3)), "a"), Parameter([[1.0]], "b")]
+        opt = Adam(params, lr=1e-3)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.zero_grad()
+        assert [p.grad for p in params] == [None, None]
+
     def test_determinism(self):
         results = []
         for _ in range(2):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flowgnn.errors import NotScalarLoss, NumericalError, ShapeMismatch
-from flowgnn.model import row_slices_exact
 from flowgnn.nn import (
     EVAL,
     BatchNorm,
@@ -39,25 +38,6 @@ def test_dense_hand_multiplication():
     b = Parameter([[1.0]], "b")
     y = add(matmul(x, w), b)
     assert y.item() == pytest.approx(12.0)
-
-
-@pytest.mark.parametrize("n", [5, 6, 7, 8, 13, 16, 24, 32, 64, 128, 256])
-def test_matmul_row_slices_match_whole_product(n):
-    """Blocked eval passes rely on this: for the shapes row_slices_exact
-    admits, rows of X @ W computed alone equal the same rows of the whole
-    product, bit for bit. If a numpy or BLAS upgrade breaks it, eval
-    blocks in flowgnn.model are no longer byte-identical to one pass."""
-    for k in (1, 3, 4, 6, 16, 77, 128, 256, 384):
-        assert row_slices_exact(k, n)
-        rng = np.random.default_rng(1000 * k + n)
-        w = rng.normal(size=(k, n))
-        for total in (600, 5000):
-            x = rng.normal(size=(total, k))
-            whole = x @ w
-            for rows in (2, 3, 5, 7, 17, 100, 513):
-                for lo in (0, 1, total - rows):
-                    part = x[lo:lo + rows] @ w
-                    assert part.tobytes() == whole[lo:lo + rows].tobytes(), (k, total, rows, lo)
 
 
 def test_matmul_shape_mismatch():
