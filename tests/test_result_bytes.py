@@ -16,6 +16,12 @@ row and digit for digit.
 dataset manifest, checkpoint run info included. Its expected digests were
 recorded with the code whose CLI re-typed the protocol spec's split
 defaults and wrote each label record by hand.
+
+`penalty_digests` hashes two-repeat protocol reports of all three dense
+baselines with an L2 penalty of 1e-2, and the test-split scores of an oc
+run whose penalty coefficient `lambda` is 0. Its expected digests were
+recorded with the code in which each family chose its heads and its
+penalty on its own.
 """
 
 import csv
@@ -68,6 +74,16 @@ CLI_EXPECTED = {
     "mlp_oc/scores.csv": "95f3c2e2b085ecd1c79a397205a13c655f38dd188557c673e8936588f783e334",
 }
 
+PENALTY_EXPECTED = {
+    "mlp_l2.json": "14ae9cc3693e255bcb0d518a2c78ad7d92de4b067e2e604223ca88d7ea54ae8f",
+    "mlp_l2.csv": "e1935416bbb6f78c6eaf66cd5e456cd041f2a031ae5dd401d70b33bb05e4d3cc",
+    "mlp_ae_l2.json": "9b7ae7ac936ea71d1389e0d8e3cb7857e9ff3c898073467c48276476f53ba974",
+    "mlp_ae_l2.csv": "27062ee1366b523c64a5efc9dfc5ac706bb17dbaeef12809aef79ae10abbf9a7",
+    "mlp_oc_l2.json": "d4e8ea071e6e9e2556e5820592e585f440332daaf7a8b54bb8a314f6431a58f2",
+    "mlp_oc_l2.csv": "70f5c2cdc7e427741f211171b0b10a786f8c896835653a49f45c906b29af0f5f",
+    "oc_lambda0_scores": "ae192a21340bebbb1d56589af26422b31b728c989bbb4797b81a5ef7fe9b0dc9",
+}
+
 
 def _data():
     dataset = synth_generate(SynthSpec(class_sizes=(30, 20), delta=1.5, max_nodes=7), seed=41)
@@ -84,6 +100,12 @@ def _fit(spec, config, graphs, dataset):
     split = make_split(spec, labels, config.seed)
     job, standardizer = make_job(spec, config, split, graphs, raw_features, labels)
     return job, standardizer, train(job)
+
+
+def _scores_digest(job, model) -> str:
+    scores = model.anomaly_scores(job.batch(list(job.split.test)))
+    text = "\n".join(",".join(row) for row in format_rows(scores[:, None]))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def result_digests(root) -> dict[str, str]:
@@ -111,14 +133,37 @@ def result_digests(root) -> dict[str, str]:
         spec = ProtocolSpec("unsupervised", variant)
         config = TrainConfig(variant=variant, num_hidden=8, max_epochs=4, seed=7)
         job, _, fit = _fit(spec, config, graphs, dataset)
-        scores = fit.model.anomaly_scores(job.batch(list(job.split.test)))
-        text = "\n".join(",".join(row) for row in format_rows(scores[:, None]))
-        out[f"{variant}_scores"] = hashlib.sha256(text.encode()).hexdigest()
+        out[f"{variant}_scores"] = _scores_digest(job, fit.model)
     return out
 
 
 def test_results_byte_identical(tmp_path):
     assert result_digests(tmp_path) == EXPECTED
+
+
+def penalty_digests(root) -> dict[str, str]:
+    root = str(root)
+    dataset, graphs = _data()
+    out = {}
+    for variant, task in (("mlp", "binary"), ("mlp_ae", "unsupervised"),
+                          ("mlp_oc", "unsupervised")):
+        split = {"quota": 10, "val_fraction": 0.3} if task == "binary" else {}
+        spec = ProtocolSpec(task, variant, feature_set="combined", **split)
+        config = TrainConfig(variant=variant, num_hidden=8, learning_rate=1e-2, max_epochs=15,
+                             patience=5, l2=1e-2)
+        result = run_protocol(spec, graphs, config, n_repeats=2, root_seed=3, dataset=dataset)
+        for path in write_report(result, root, f"{variant}_l2"):
+            out[os.path.basename(path)] = _digest(path)
+
+    spec = ProtocolSpec("unsupervised", "oc")
+    config = TrainConfig(variant="oc", num_hidden=8, max_epochs=4, seed=7, lambda_=0.0)
+    job, _, fit = _fit(spec, config, graphs, dataset)
+    out["oc_lambda0_scores"] = _scores_digest(job, fit.model)
+    return out
+
+
+def test_penalties_byte_identical(tmp_path):
+    assert penalty_digests(tmp_path) == PENALTY_EXPECTED
 
 
 CLI_RUNS = {
