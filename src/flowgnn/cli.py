@@ -33,11 +33,11 @@ from .graphs import (
 from .ingest import LABEL_LEVELS, FlowDataset, load_dataset, save_dataset
 from .synth import SynthSpec, synth_generate
 from .training import (
-    CLASSIFIERS,
     DEFAULT_GRIDS,
     ProtocolSpec,
     TrainConfig,
     TrainJob,
+    _judge,
     evaluate_metrics,
     grid_search,
     make_job,
@@ -202,9 +202,8 @@ def _load_model(args):
     if not args.checkpoint or not os.path.exists(args.checkpoint):
         raise UsageError(f"checkpoint not found: {args.checkpoint}")
     model, train_config, standardizer, run_info = load_checkpoint(args.checkpoint)
-    variant = train_config.variant
-    spec = _protocol_from_config({"task": "binary" if variant in CLASSIFIERS else "unsupervised",
-                                  **run_info, "variant": variant})
+    spec = _protocol_from_config({"task": "binary" if model.role == "clf" else "unsupervised",
+                                  **run_info, "variant": train_config.variant})
     return model, train_config, standardizer, run_info, spec
 
 
@@ -294,12 +293,8 @@ def cmd_score(args) -> int:
     if not args.data:
         raise UsageError("score needs --data")
     graphs, job, _ = _load_job(spec, train_config, args.data, None, standardizer)
-    inputs = job.batch(np.arange(len(graphs)))
-    if train_config.variant in CLASSIFIERS:
-        values = model.predict_proba(inputs)
-    else:
-        values = model.anomaly_scores(inputs)[:, None]
-
+    # class probabilities, or anomaly scores as one column
+    values = _judge(model, job.batch(np.arange(len(graphs))))[0].reshape(len(graphs), -1)
     if values.shape[1] == 1:
         header = ["sample_id", "score"]
     else:

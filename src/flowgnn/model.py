@@ -37,7 +37,6 @@ from .nn import (
     mul,
     mul_const,
     relu,
-    scale,
     scatter_rows,
     segment_pool,
     softmax_rows,
@@ -45,7 +44,8 @@ from .nn import (
     sum_all,
 )
 
-VARIANTS = ("clf", "ae", "oc")
+ROLES = ("clf", "ae", "oc")
+VARIANTS = ROLES  # graph variants are named after their heads' roles
 POOLS = ("mean", "add", "max")
 # Eval passes run the encoder over blocks of whole graphs whose edge rows
 # times num_hidden stay within this many cells, so activations stay in cache.
@@ -246,14 +246,18 @@ class _Forward:
 
 
 class Network:
-    """What the graph encoder and the dense baselines share: validation,
-    parameter inventory, checkpoint state, the L2 term and the one-class
-    center.
+    """What the graph encoder and the dense baselines share: the head's
+    role, validation, parameter inventory, checkpoint state, the L2 term,
+    the one-class center and each head's loss and scores.
 
-    `variants` names a family's (classifier, autoencoder, one-class) heads;
-    the one-class head is the bias-free one. Subclasses list their layers in
-    `layers()` and map model inputs to eval-mode per-sample embeddings in
-    `embed`; graph models also list their batch norms.
+    `variants` names a family's (classifier, autoencoder, one-class)
+    variants; a model's `role` (clf, ae or oc) is its variant's place in
+    that triple, and the oc head is the bias-free one. Subclasses set
+    `penalty` (the L2 coefficient, or None for no L2 term) and `head` (the
+    clf output layer), list their layers in `layers()`, map model inputs
+    to one row per sample in `pooled(inputs, mode, rng)` and to eval-mode
+    rows in `embed`, and give the ae head's `ae_loss` and per-sample
+    `_reconstruction_errors`; graph models also list their batch norms.
     """
 
     def __init__(self, variant: str, variants: tuple[str, str, str], in_dim: int,
@@ -262,15 +266,23 @@ class Network:
             raise ValueError(f"variant must be one of {variants}, got {variant!r}")
         if num_layers not in (1, 2):
             raise ValueError("num_layers must be 1 or 2")
-        if variant == variants[0] and not num_classes:
-            raise ValueError("classifier needs num_classes")
         self.variant = variant
+        self.role = ROLES[variants.index(variant)]
+        if self.role == "clf" and not num_classes:
+            raise ValueError("classifier needs num_classes")
         self.in_dim = in_dim
         self.num_hidden = num_hidden
         self.num_layers = num_layers
         self.num_classes = num_classes
-        self.bias = variant != variants[2]
+        self.bias = self.role != "oc"
         self.center: np.ndarray | None = None
+        self.penalty: float | None = None
+        self.head: Dense | None = None
+        self.dropout_p = 0.0
+
+    def _require(self, role: str, what: str) -> None:
+        if self.role != role:
+            raise ValueError(f"{what} is only defined for the {role} head, not {self.variant!r}")
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []
@@ -284,12 +296,19 @@ class Network:
     def batch_norms(self) -> list[BatchNorm]:
         return []
 
-    def _l2_term(self, coefficient: float) -> Tensor:
-        total = None
-        for w in self.weight_matrices():
-            term = sum_all(mul(w, w))
-            total = term if total is None else total + term
-        return scale(total, coefficient / 2.0)
+    # -- heads ----------------------------------------------------------------
+
+    def _head(self, pooled: Tensor, mode: str, rng) -> Tensor:
+        self._require("clf", "logits")
+        return self.head(dropout(pooled, self.dropout_p, rng, mode))
+
+    def logits(self, inputs, mode: str = EVAL, rng=None) -> Tensor:
+        return self._head(self.pooled(inputs, mode, rng), mode, rng)
+
+    def predict_proba(self, inputs) -> np.ndarray:
+        # the head sees every pooled row at once: with fewer than four
+        # classes, a row slice of its matmul can differ from the whole
+        return softmax_rows(self._head(self.embed(inputs), EVAL, None)).data
 
     def init_center(self, inputs) -> np.ndarray:
         """Freeze the hypersphere center at the mean initial embedding.
@@ -297,13 +316,44 @@ class Network:
         Uses eval-mode statistics and no dropout so the center does not
         depend on stochastic state; it never changes afterwards.
         """
-        if self.bias:
-            raise ValueError("init_center is only defined for the one-class variant")
+        self._require("oc", "init_center")
         self.center = self.embed(inputs).data.mean(axis=0, keepdims=True).copy()
         return self.center[0]
 
-    def _center_distances(self, inputs) -> np.ndarray:
-        return ((self.embed(inputs).data - self.center) ** 2).sum(axis=1)
+    def oc_loss(self, inputs, mode: str = TRAIN, rng=None) -> Tensor:
+        """Mean squared distance of the pooled rows to the frozen center
+        (Ruff et al., Deep SVDD, ICML 2018)."""
+        if self.center is None:
+            raise ValueError("init_center must run before the one-class loss")
+        pooled = self.pooled(inputs, mode, rng)
+        diff = sub(pooled, Tensor(self.center))
+        return mul_const(sum_all(mul(diff, diff)), 1.0 / pooled.shape[0])
+
+    def _l2_term(self) -> Tensor:
+        total = None
+        for w in self.weight_matrices():
+            term = sum_all(mul(w, w))
+            total = term if total is None else total + term
+        return mul_const(total, self.penalty / 2.0)
+
+    def loss(self, inputs, targets=None, mode: str = TRAIN, rng=None) -> Tensor:
+        """The head's loss, plus the L2 term when the model holds a penalty."""
+        if self.role == "clf":
+            value = cross_entropy(self.logits(inputs, mode, rng), targets)
+        elif self.role == "ae":
+            value = self.ae_loss(inputs, mode, rng)
+        else:
+            value = self.oc_loss(inputs, mode, rng)
+        return value if self.penalty is None else value + self._l2_term()
+
+    def anomaly_scores(self, inputs) -> np.ndarray:
+        """Higher = more anomalous; eval mode, no dropout."""
+        if self.role == "ae":
+            return self._reconstruction_errors(inputs)
+        if self.role == "oc":
+            return ((self.embed(inputs).data - self.center) ** 2).sum(axis=1)
+        raise ValueError(f"anomaly scores are only defined for the ae and oc heads, "
+                         f"not {self.variant!r}")
 
     def state(self) -> dict:
         return {
@@ -344,7 +394,8 @@ class FlowGraphNetwork(Network):
             raise ValueError(f"pool must be one of {POOLS}, got {pool!r}")
         self.pool = pool
         self.dropout_p = dropout_p
-        self.weight_decay = weight_decay
+        # lambda penalizes only the oc head, where it is added even at 0
+        self.penalty = weight_decay if self.role == "oc" else None
         h = num_hidden
 
         def block(name, in_dim_, out_dim_, activation=True, batch_norm=True):
@@ -355,11 +406,10 @@ class FlowGraphNetwork(Network):
         self.f3 = block("f3", 3 * h, h) if num_layers == 2 else None
         self.f4 = block("f4", 3 * h, h) if num_layers == 2 else None
 
-        self.head: Dense | None = None
         self.f5 = self.f6 = self.f7 = self.f8 = None
-        if variant == "clf":
+        if self.role == "clf":
             self.head = Dense(h, num_classes, rng, bias=self.bias, name="head")
-        elif variant == "ae":
+        elif self.role == "ae":
             if num_layers == 2:
                 self.f5 = block("f5", 2 * h, h)
                 self.f6 = block("f6", 3 * h, h)
@@ -409,8 +459,7 @@ class FlowGraphNetwork(Network):
 
     def decode(self, batch: GraphBatch, encoded: dict[str, Tensor],
                mode: str = EVAL, rng=None, fwd: _Forward | None = None) -> Tensor:
-        if self.variant != "ae":
-            raise ValueError("decode is only defined for the autoencoder variant")
+        self._require("ae", "decode")
         fwd = fwd if fwd is not None else self._forward(batch, mode, rng)
         h = encoded["h_final"]
         if self.num_layers == 2:
@@ -433,19 +482,6 @@ class FlowGraphNetwork(Network):
     def embed(self, batch: GraphBatch) -> Tensor:
         return Tensor(self._in_blocks(batch, lambda block: self.pooled(block, EVAL).data))
 
-    def _head(self, pooled: Tensor, mode: str, rng) -> Tensor:
-        if self.variant != "clf":
-            raise ValueError("logits are only defined for the classifier variant")
-        return self.head(dropout(pooled, self.dropout_p, rng, mode))
-
-    def logits(self, batch: GraphBatch, mode: str = EVAL, rng=None) -> Tensor:
-        return self._head(self.pooled(batch, mode, rng), mode, rng)
-
-    def predict_proba(self, batch: GraphBatch) -> np.ndarray:
-        # the head sees every pooled row at once: with fewer than four
-        # classes, a row slice of its matmul can differ from the whole
-        return softmax_rows(self._head(self.embed(batch), EVAL, None)).data
-
     # -- losses and scores ----------------------------------------------------
 
     def squared_errors(self, batch: GraphBatch, mode: str = EVAL, rng=None) -> Tensor:
@@ -461,32 +497,22 @@ class FlowGraphNetwork(Network):
         row_weights = np.repeat(1.0 / (batch.num_graphs * counts), counts)[:, None]
         return sum_all(mul_const(self.squared_errors(batch, mode, rng), row_weights))
 
-    def oc_loss(self, batch: GraphBatch, mode: str = TRAIN, rng=None) -> Tensor:
-        """Mean squared distance to the center plus L2 weight regularization."""
-        if self.center is None:
-            raise ValueError("init_center must run before the one-class loss")
-        pooled = self.pooled(batch, mode, rng)
-        diff = sub(pooled, Tensor(self.center))
-        dist = scale(sum_all(mul(diff, diff)), 1.0 / batch.num_graphs)
-        return dist + self._l2_term(self.weight_decay)
-
-    def loss(self, batch: GraphBatch, targets=None, mode: str = TRAIN, rng=None) -> Tensor:
-        if self.variant == "clf":
-            return cross_entropy(self.logits(batch, mode, rng), targets)
-        if self.variant == "ae":
-            return self.ae_loss(batch, mode, rng)
-        return self.oc_loss(batch, mode, rng)
-
     def _reconstruction_errors(self, batch: GraphBatch) -> np.ndarray:
         """Squared Frobenius reconstruction error per graph, edge-normalized."""
-        sq = self.squared_errors(batch, EVAL).data
-        ends = batch.edge_offsets
-        return np.array([sq[lo:hi].sum() / (hi - lo) for lo, hi in zip(ends, ends[1:])])
+        def errors(block: GraphBatch) -> np.ndarray:
+            sq = self.squared_errors(block, EVAL).data
+            ends = block.edge_offsets
+            return np.array([sq[lo:hi].sum() / (hi - lo) for lo, hi in zip(ends, ends[1:])])
+        return self._in_blocks(batch, errors)
+
+    # perfbench/layers.py times forward passes by wrapping these three in
+    # this class body, so each one restates Network's version
+
+    def loss(self, batch: GraphBatch, targets=None, mode: str = TRAIN, rng=None) -> Tensor:
+        return super().loss(batch, targets, mode, rng)
+
+    def predict_proba(self, batch: GraphBatch) -> np.ndarray:
+        return super().predict_proba(batch)
 
     def anomaly_scores(self, batch: GraphBatch) -> np.ndarray:
-        """Higher = more anomalous; eval mode, no dropout."""
-        if self.variant == "ae":
-            return self._in_blocks(batch, self._reconstruction_errors)
-        if self.variant == "oc":
-            return self._center_distances(batch)
-        raise ValueError("anomaly scores are only defined for ae and oc variants")
+        return super().anomaly_scores(batch)

@@ -14,7 +14,6 @@ from .tensor import (
     mul,
     mul_const,
     relu,
-    scale,
     scatter_rows,
     segment_pool,
     softmax_rows,
@@ -43,7 +42,6 @@ __all__ = [
     "mul",
     "mul_const",
     "relu",
-    "scale",
     "scatter_rows",
     "segment_pool",
     "softmax_rows",

@@ -255,15 +255,6 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(out_data, (a,), backward)
 
 
-def scale(a: Tensor, factor: float) -> Tensor:
-    out_data = _check_finite(a.data * factor, "scale")
-
-    def backward(g: Array):
-        return (g * factor,)
-
-    return Tensor(out_data, (a,), backward)
-
-
 def _check_index(index: Array, n: int, op: str) -> None:
     if len(index) and (index.min() < 0 or index.max() >= n):
         raise ShapeMismatch(f"{op}: index outside [0, {n})")

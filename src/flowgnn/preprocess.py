@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InconsistentDimension
+
 CONSTANT_TOL = 1e-12
 
 
@@ -27,6 +29,10 @@ class Standardizer:
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
+        if self.kept_columns.size and rows.shape[1] <= self.kept_columns[-1]:
+            raise InconsistentDimension(
+                f"feature rows have {rows.shape[1]} columns, but the standardizer was fit on "
+                f"at least {self.kept_columns[-1] + 1}")
         return (rows[:, self.kept_columns] - self.mean) / self.std
 
     def to_dict(self) -> dict:

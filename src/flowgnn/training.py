@@ -30,6 +30,7 @@ from .ingest import FlowDataset
 from .metrics import MetricReport, auroc, per_class_precision_recall, weighted_f1
 from .mlp import MLP_VARIANTS, DenseNetwork
 from .model import (
+    ROLES,
     VARIANTS as GRAPH_VARIANTS,
     FlowGraphNetwork,
     GraphBatch,
@@ -37,15 +38,14 @@ from .model import (
     make_batch,
     propagation_matrices,
 )
-from .nn import EVAL, TRAIN, Adam
+from .nn import TRAIN, Adam
 from .preprocess import Standardizer, standardize_fit
 from .splits import SplitPlan, supervised_split, unsupervised_split
 
 logger = logging.getLogger(__name__)
 
-ALL_VARIANTS = GRAPH_VARIANTS + MLP_VARIANTS
-CLASSIFIERS = ("clf", "mlp")
-ONE_CLASS = ("oc", "mlp_oc")
+# each variant's head, for code that holds a config; a model knows its own role
+VARIANT_ROLES = dict(zip(GRAPH_VARIANTS + MLP_VARIANTS, 2 * ROLES))
 SUPERVISED_TASKS = ("binary", "category", "family")
 
 # hyperparameter search spaces; keys match TrainConfig on-disk names
@@ -191,30 +191,32 @@ class TrainJob:
         return (self.features if self.prepared is None else self.prepared[0].x).shape[1]
 
 
+def _judge(model, inputs, job: TrainJob | None = None, idx=None):
+    """(outputs, metric, value): a model's outputs on inputs, the metric
+    that judges them and, given the job and rows the inputs came from, its
+    value. clf outputs class probabilities, judged by the weighted F1 of
+    their argmax; ae and oc output anomaly scores, judged by AUROC against
+    the binary label."""
+    if model.role == "clf":
+        outputs = model.predict_proba(inputs)
+        value = None if job is None else weighted_f1(job.y[idx], outputs.argmax(axis=1))
+        return outputs, "weighted_f1", value
+    outputs = model.anomaly_scores(inputs)
+    return outputs, "auroc", None if job is None else auroc(outputs, job.binary[idx])
+
+
 def _val_criterion(job: TrainJob, model) -> Callable[[], float]:
-    kind = job.config.val_criterion
-    if kind == "auto":
-        kind = "f1" if job.config.variant in CLASSIFIERS else "auroc"
+    """The validation score, recomputed per call; val_criterion may name
+    the role's own metric (f1 for clf, auroc otherwise) or leave it auto."""
+    own = "f1" if model.role == "clf" else "auroc"
+    if job.config.val_criterion not in ("auto", own):
+        raise ValueError(f"val_criterion {job.config.val_criterion!r} does not fit variant "
+                         f"{job.config.variant!r}; use 'auto' or {own!r}")
     val = list(job.split.val)
     inputs = job.batch(val)
 
-    if kind == "f1":
-        y_val = job.y[val]
-
-        def score() -> float:
-            return weighted_f1(y_val, model.predict_proba(inputs).argmax(axis=1))
-    elif kind == "auroc":
-        y_val = job.binary[val]
-
-        def score() -> float:
-            return auroc(model.anomaly_scores(inputs), y_val)
-    elif kind == "neg_loss":
-        targets = job.targets(val)
-
-        def score() -> float:
-            return -model.loss(inputs, targets, mode=EVAL).item()
-    else:
-        raise ValueError(f"unknown validation criterion {kind!r}")
+    def score() -> float:
+        return _judge(model, inputs, job, val)[2]
     return score
 
 
@@ -232,7 +234,7 @@ def train(job: TrainJob,
     model = build_model(config, job.in_dim, job.num_classes, rng)
     train_idx = np.asarray(job.split.train, dtype=np.intp)
 
-    if config.variant in ONE_CLASS:
+    if model.role == "oc":
         model.init_center(job.batch(train_idx))
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
@@ -276,22 +278,13 @@ def train(job: TrainJob,
 def evaluate_metrics(job: TrainJob, model, indices=None) -> dict:
     """Metric dict on the given indices (default: the test split)."""
     idx = list(job.split.test if indices is None else indices)
-    inputs = job.batch(idx)
-    if job.config.variant in CLASSIFIERS:
-        y_true = job.y[idx]
-        y_pred = model.predict_proba(inputs).argmax(axis=1)
-        return {
-            "metric": "weighted_f1",
-            "value": weighted_f1(y_true, y_pred),
-            "per_class": {
-                str(cls): {"precision": p, "recall": r}
-                for cls, (p, r) in per_class_precision_recall(y_true, y_pred).items()
-            },
-        }
-    return {
-        "metric": "auroc",
-        "value": auroc(model.anomaly_scores(inputs), job.binary[idx]),
-    }
+    outputs, metric, value = _judge(model, job.batch(idx), job, idx)
+    out = {"metric": metric, "value": value}
+    if metric == "weighted_f1":
+        precision_recall = per_class_precision_recall(job.y[idx], outputs.argmax(axis=1))
+        out["per_class"] = {str(cls): {"precision": p, "recall": r}
+                            for cls, (p, r) in precision_recall.items()}
+    return out
 
 
 # -- grid search ---------------------------------------------------------------
@@ -362,12 +355,18 @@ class ProtocolSpec:
     def __post_init__(self):
         if self.task not in SUPERVISED_TASKS + ("unsupervised",):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.variant not in ALL_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {ALL_VARIANTS}")
-        if (self.variant in CLASSIFIERS) != (self.task != "unsupervised"):
+        if self.variant not in VARIANT_ROLES:
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"expected one of {tuple(VARIANT_ROLES)}")
+        if (VARIANT_ROLES[self.variant] == "clf") != (self.task != "unsupervised"):
             raise ValueError(f"variant {self.variant!r} does not fit task {self.task!r}")
         if self.variant in MLP_VARIANTS and self.feature_set is None:
             raise ValueError("mlp variants need a feature_set")
+
+    @property
+    def level(self) -> str:
+        """The label level the task splits on: its own, or binary for unsupervised."""
+        return "binary" if self.task == "unsupervised" else self.task
 
 
 @dataclass
@@ -389,9 +388,8 @@ def task_data(spec: ProtocolSpec, graphs: list[FlowGraph],
     raw_features = None
     if spec.variant in MLP_VARIANTS:
         raw_features = feature_matrix(graphs, spec.feature_set, dataset)
-    levels = ("binary",) if spec.task in ("binary", "unsupervised") else ("binary", spec.task)
     labels_by_level = {
-        level: labels_at_level(graphs, level) for level in levels
+        level: labels_at_level(graphs, level) for level in dict.fromkeys(("binary", spec.level))
         if all(g.labels is not None and g.labels.at_level(level) is not None for g in graphs)
     }
     return raw_features, labels_by_level
@@ -399,14 +397,14 @@ def task_data(spec: ProtocolSpec, graphs: list[FlowGraph],
 
 def make_split(spec: ProtocolSpec, labels_by_level: dict[str, np.ndarray],
                seed: int) -> SplitPlan:
-    level = "binary" if spec.task == "unsupervised" else spec.task
-    if level not in labels_by_level:
-        raise ValueError(f"the {spec.task} task needs a {level} label on every graph")
+    if spec.level not in labels_by_level:
+        raise ValueError(f"the {spec.task} task needs a {spec.level} label on every graph")
+    labels = labels_by_level[spec.level]
     if spec.task == "unsupervised":
-        return unsupervised_split(labels_by_level[level], seed,
+        return unsupervised_split(labels, seed,
                                   train_fraction=spec.train_fraction,
                                   val_fraction=spec.unsup_val_fraction)
-    return supervised_split(labels_by_level[level], spec.task, seed,
+    return supervised_split(labels, spec.task, seed,
                             quota=spec.quota, val_fraction=spec.val_fraction)
 
 
@@ -417,7 +415,8 @@ def make_job(spec: ProtocolSpec, config: TrainConfig, split: SplitPlan,
              standardizer: Standardizer | None = None) -> tuple[TrainJob, Standardizer]:
     """Assemble a TrainJob; the standardizer is fit on the split's
     training rows unless an already-fitted one is supplied."""
-    y = labels_by_level.get(spec.task)
+    # targets only for the supervised tasks; unsupervised ones read binary labels alone
+    y = None if spec.task == "unsupervised" else labels_by_level.get(spec.level)
     binary = labels_by_level.get("binary")
     num_classes = None if y is None else int(y.max()) + 1
     if config.variant in GRAPH_VARIANTS:

@@ -378,3 +378,25 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "extract" in proc.stdout
+
+
+def test_score_narrower_extract_exit_1(workspace, tmp_path, capsys):
+    """A checkpoint scores an extract with fewer feature columns than it was fit on."""
+    root, _, out_dir = workspace
+    config = train_config(root, out_dir, variant="ae", task="unsupervised", max_epochs=2)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "ae")]) == 0
+    spec = tmp_path / "narrow.json"
+    spec.write_text(json.dumps({"class_sizes": [10, 10], "num_features": 3, "max_nodes": 5}))
+    assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "narrow")]) == 0
+    assert main(["extract", "--manifest", str(tmp_path / "narrow" / "manifest.json"),
+                 "--out", str(tmp_path / "narrow")]) == 0
+    capsys.readouterr()
+    checkpoint = str(tmp_path / "ae" / "checkpoint.json")
+    data = str(tmp_path / "narrow" / "graphs.jsonl")
+    for command in ("score", "evaluate"):
+        assert main([command, "--checkpoint", checkpoint, "--data", data,
+                     "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "InconsistentDimension: feature rows have 20 columns" in err[0]
+        assert "fit on at least" in err[0], err
+    assert not (tmp_path / "score").exists()

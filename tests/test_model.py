@@ -220,7 +220,7 @@ class TestHeads:
         model.f1.dense.W.data[:2, :2] = np.eye(2)
         # embeddings collapse to zero once weights are zeroed, so recompute center
         model.center = model.pooled(batch).data.copy()
-        loss = model.oc_loss(batch, mode="eval").item()
+        loss = model.loss(batch, mode="eval").item()
         assert loss == pytest.approx(1.0, abs=1e-12)  # (1/2) * ||I_2||_F^2
 
     def test_oc_center_contract(self, rng):

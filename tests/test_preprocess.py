@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowgnn.errors import InconsistentDimension
 from flowgnn.preprocess import Standardizer, standardize_fit
 
 
@@ -65,3 +66,10 @@ class TestStandardizer:
         clone = Standardizer.from_dict(standardizer.to_dict())
         rows = rng.normal(size=(4, 3))
         assert np.array_equal(standardizer(rows), clone(rows))
+
+
+def test_narrower_rows_rejected_with_both_widths():
+    standardizer = standardize_fit(np.array([[0.0, 1.0, 2.0, 5.0], [1.0, 1.0, 4.0, 7.0]]))
+    assert standardizer(np.zeros((2, 4))).shape == (2, 3)
+    with pytest.raises(InconsistentDimension, match="rows have 3 columns.*at least 4"):
+        standardizer(np.zeros((2, 3)))

@@ -16,7 +16,6 @@ from flowgnn.nn import (
     mul,
     mul_const,
     relu,
-    scale,
     scatter_rows,
     segment_pool,
     softmax_rows,
@@ -263,7 +262,7 @@ def test_gradcheck_composite_expression(seed):
         gat = gather_rows(agg, index, coeff)
         stacked = concat_cols([gat, h])
         pooled = segment_pool(matmul(stacked, w2), [0, 3, 6], "mean")
-        return add(scale(sum_all(mul(pooled, pooled)), 0.5),
+        return add(mul_const(sum_all(mul(pooled, pooled)), 0.5),
                    cross_entropy(pooled, [0, 2]))
 
     report = finite_difference_check(f, [w1, w2], rng=np.random.default_rng(7),

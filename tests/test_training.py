@@ -3,9 +3,10 @@ import weakref
 import numpy as np
 import pytest
 
-from flowgnn import serialize
+from flowgnn import serialize, training
 from flowgnn.graphs import build_flow_graph, feature_matrix
 from flowgnn.model import FlowGraphNetwork
+from flowgnn.nn import Adam
 from flowgnn.synth import SynthSpec, synth_generate
 from flowgnn.training import (
     DEFAULT_GRIDS,
@@ -104,6 +105,31 @@ class TestEarlyStopping:
         assert result.best_epoch <= result.stopped_epoch
         recorded = [rec.val_score for rec in result.history]
         assert result.best_val == pytest.approx(max(recorded))
+
+
+class TestValCriterion:
+    @pytest.mark.parametrize("variant, criterion", [
+        ("clf", "auroc"), ("clf", "neg_loss"), ("oc", "f1"),
+    ])
+    def test_mismatch_rejected_before_any_step(self, small_task, monkeypatch,
+                                               variant, criterion):
+        _, graphs, labels = small_task
+        task = "binary" if variant == "clf" else "unsupervised"
+        spec = ProtocolSpec(task=task, variant=variant, quota=10, val_fraction=0.2)
+        config = quick_config(variant=variant, max_epochs=2, val_criterion=criterion)
+        job, _ = make_job(spec, config, make_split(spec, labels, 0), graphs, None, labels)
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+        with pytest.raises(ValueError, match=f"val_criterion '{criterion}'"):
+            train(job)
+        assert steps == []
+
+    def test_own_metric_equals_auto(self, small_task):
+        _, graphs, labels = small_task
+        _, auto, _ = make_clf_job(graphs, labels, max_epochs=3)
+        _, own, _ = make_clf_job(graphs, labels, max_epochs=3, val_criterion="f1")
+        assert [r.to_dict() for r in train(own).history] == \
+               [r.to_dict() for r in train(auto).history]
 
 
 class TestTrainDeterminism:
@@ -267,6 +293,27 @@ class TestProtocol:
         )
         assert result.report.metric == "auroc"
         assert all(0.0 <= v <= 1.0 for v in result.report.per_seed)
+
+    @pytest.mark.parametrize("task, variant", [("binary", "clf"), ("unsupervised", "oc")])
+    def test_one_evaluation_per_repeat(self, small_task, monkeypatch, task, variant):
+        # validation, center init and grid selection never call evaluate_metrics
+        _, graphs, _ = small_task
+        calls = []
+        original = training.evaluate_metrics
+
+        def counted(job, model, indices=None):
+            calls.append(indices)
+            return original(job, model, indices)
+
+        monkeypatch.setattr(training, "evaluate_metrics", counted)
+        spec = ProtocolSpec(task=task, variant=variant, quota=10, val_fraction=0.2)
+        run_protocol(spec, graphs, config=quick_config(variant=variant, max_epochs=3),
+                     grid={"learning_rate": [1e-2, 3e-3]}, n_repeats=2)
+        assert calls == [None, None]
+
+    def test_level(self):
+        assert ProtocolSpec(task="unsupervised", variant="ae").level == "binary"
+        assert ProtocolSpec(task="family", variant="clf").level == "family"
 
     def test_variant_task_mismatch_rejected(self):
         with pytest.raises(ValueError):
