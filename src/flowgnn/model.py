@@ -282,7 +282,7 @@ class Network:
 
     def _require(self, role: str, what: str) -> None:
         if self.role != role:
-            raise ValueError(f"{what} is only defined for the {role} head, not {self.variant!r}")
+            raise ValueError(f"{what}: only defined for the {role} head, not {self.variant!r}")
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []
@@ -352,7 +352,7 @@ class Network:
             return self._reconstruction_errors(inputs)
         if self.role == "oc":
             return ((self.embed(inputs).data - self.center) ** 2).sum(axis=1)
-        raise ValueError(f"anomaly scores are only defined for the ae and oc heads, "
+        raise ValueError("anomaly scores: only defined for the ae and oc heads, "
                          f"not {self.variant!r}")
 
     def state(self) -> dict:

@@ -36,6 +36,23 @@ class TestDenseNetwork:
         assert all(not p.name.endswith(".b") for p in model.parameters())
         assert build("mlp").out.b is not None
 
+    @pytest.mark.parametrize("variant, role", [("mlp", "clf"), ("mlp_ae", "ae"),
+                                               ("mlp_oc", "oc")])
+    def test_each_head_refuses_the_others(self, variant, role, rng):
+        model = build(variant)
+        assert model.role == role
+        x = rng.normal(size=(4, 5))
+        calls = {"clf": [model.logits, model.predict_proba], "ae": [model.reconstruct],
+                 "oc": [model.init_center]}
+        for other, fns in calls.items():
+            for fn in fns:
+                if other != role:
+                    with pytest.raises(ValueError, match=f"only defined for the {other} head"):
+                        fn(x)
+        if role == "clf":
+            with pytest.raises(ValueError, match="ae and oc heads"):
+                model.anomaly_scores(x)
+
     def test_ae_reconstruction_shape(self, rng):
         model = build("mlp_ae")
         x = rng.normal(size=(4, 5))

@@ -158,6 +158,24 @@ class TestEncode:
 
 
 class TestHeads:
+    @pytest.mark.parametrize("variant", ["clf", "ae", "oc"])
+    def test_each_head_refuses_the_others(self, variant, rng):
+        model = build(variant)
+        assert model.role == variant
+        batch = make_batch([prepare_graph(random_connected_graph(rng, gid=f"g{i}"))
+                            for i in range(3)])
+        calls = {"clf": [model.logits, model.predict_proba],
+                 "ae": [lambda b: model.decode(b, model.encode(b))],
+                 "oc": [model.init_center]}
+        for role, fns in calls.items():
+            for fn in fns:
+                if role != variant:
+                    with pytest.raises(ValueError, match=f"only defined for the {role} head"):
+                        fn(batch)
+        if variant == "clf":
+            with pytest.raises(ValueError, match="ae and oc heads"):
+                model.anomaly_scores(batch)
+
     def test_mean_vs_add_pool_factor(self):
         graph = make_graph([(0, 1)], d=4, seed=3)
         batch = make_batch([prepare_graph(graph)])
