@@ -1,3 +1,9 @@
+import csv
+import hashlib
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,11 +96,87 @@ def permute_graph(graph: FlowGraph, rng) -> FlowGraph:
     )
 
 
+def text_digest(path) -> str:
+    """One file's SHA-256, or one over a directory's file names and bytes."""
+    h = hashlib.sha256()
+    if os.path.isdir(path):
+        for name in sorted(os.listdir(path)):
+            h.update(name.encode() + b"\0")
+            h.update(hashlib.sha256(open(os.path.join(path, name), "rb").read()).digest())
+    else:
+        h.update(open(path, "rb").read())
+    return h.hexdigest()
+
+
+def value_digest(path) -> str:
+    """SHA-256 of what a JSON, JSONL or CSV output holds (or every file of
+    a directory, in sorted order): its structure, its strings and the
+    float64 bytes of every number, however the number is spelled.
+
+    Every JSON number is hashed as a float64, integer tokens too, and so is
+    every CSV cell that parses as a float.
+    """
+    h = hashlib.sha256()
+    _hash_path(h, str(path))
+    return h.hexdigest()
+
+
+def file_digests(paths: dict) -> tuple[dict[str, str], dict[str, str]]:
+    """Text and value digests of each named output."""
+    return ({name: text_digest(path) for name, path in paths.items()},
+            {name: value_digest(path) for name, path in paths.items()})
+
+
+def _hash_path(h, path: str) -> None:
+    if os.path.isdir(path):
+        for name in sorted(os.listdir(path)):
+            _hash_value(h, name)
+            _hash_path(h, os.path.join(path, name))
+        return
+    with open(path, encoding="utf-8", newline="") as fp:
+        if path.endswith(".csv"):
+            records = [[_csv_cell(cell) for cell in row] for row in csv.reader(fp)]
+        elif path.endswith(".jsonl"):
+            records = [json.loads(line, parse_int=float) for line in fp]
+        else:
+            records = [json.load(fp, parse_int=float)]
+    _hash_value(h, records)
+
+
+def _csv_cell(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _hash_value(h, value) -> None:
+    if isinstance(value, float):
+        h.update(b"f" + struct.pack("<d", value))
+    elif isinstance(value, str):
+        data = value.encode()
+        h.update(b"s%d:" % len(data) + data)
+    elif isinstance(value, list):
+        h.update(b"[%d" % len(value))
+        for item in value:
+            _hash_value(h, item)
+    elif isinstance(value, dict):
+        h.update(b"{%d" % len(value))
+        for key, item in value.items():
+            _hash_value(h, key)
+            _hash_value(h, item)
+    else:  # True, False, None
+        h.update(repr(value).encode())
+
+
 __all__ = [
     "aggregate_feature_names",
+    "file_digests",
     "make_graph",
     "make_sample",
     "permute_graph",
     "random_connected_graph",
     "table_columns",
+    "text_digest",
+    "value_digest",
 ]

@@ -9,15 +9,21 @@ is also reloaded and saved again. The expected digests were recorded with
 the per-flow record layout and the one-source-at-a-time betweenness loop
 that preceded the columnar flow table; any change to these bytes is a
 change of results.
+
+`EXPECTED_VALUES` holds value digests of the same outputs
+(`conftest.value_digest`), which change only when a written value does,
+not when the text that spells it does. They were recorded with the code
+that wrote every float at 17 significant digits.
 """
 
 import csv
-import hashlib
 import os
 from dataclasses import replace
 
 from flowgnn import FlowDataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from flowgnn.cli import main
+
+from .conftest import file_digests
 
 EXPECTED = {
     "capture/flows": "cc1fc48b15cc52e0e23129a73b90004d32dba505990be21c743b6efbcbcb5843",
@@ -32,6 +38,21 @@ EXPECTED = {
     "injected/extract/graphs.jsonl": "98cb821b98f53300910767c9cb6aaa34176001b49423daaeb719e38238b51a00",
     "injected/resaved/flows": "2ac7dc4614121739c33f49c08b2978f247dd230552dc6f8b50b2852b53db64a0",
     "injected/resaved/manifest.json": "963e304d1a92ebc3a41093822a399a9a63548f3a79ee651311e08b4f76163ef3",
+}
+
+EXPECTED_VALUES = {
+    "capture/flows": "71395a223b694e7e9d1f38f24d38fb1dec243a95b14e7b3affddbcf8e4800759",
+    "capture/manifest.json": "a74033e872533bfd98a08c3f12d0c5675a71b9d73bf7433568713c694ae51606",
+    "extract/features_combined.csv": "9df9c7bc4fbc7633f689c1bb298ddf11f04b4b0045a285312a4424c886cac0cc",
+    "extract/features_flow.csv": "d4fe5d120c2d52fa789197addef1657d86a309fbc8eba5ede0aa336829935c60",
+    "extract/features_graph.csv": "d4024f9d89b8a051e9ce6779a96eb614d6d276a4a5a95a00ac9aaab18317a771",
+    "extract/graphs.jsonl": "c257996e37e14a7e3b5e829520c1719bf69b2aa685d1de928aec62e02caf333a",
+    "injected/extract/features_combined.csv": "6f8dc0961d212851c886c6aa8f0eeea9b6992cfa768eccd59643fbfed6ab0d31",
+    "injected/extract/features_flow.csv": "b8f36a207bf284f2e39e25f289211323f4151e364238d66a401d1b21a1c34d8f",
+    "injected/extract/features_graph.csv": "d4024f9d89b8a051e9ce6779a96eb614d6d276a4a5a95a00ac9aaab18317a771",
+    "injected/extract/graphs.jsonl": "67646eaf4685f77073d95950ba79e07cfe98f47834d43cf4685f4c1b2fbd2752",
+    "injected/resaved/flows": "fa6848afcdf08b59029b204b90562f788df8f33680eecbacbe6fd9bd3eaeda1d",
+    "injected/resaved/manifest.json": "a74033e872533bfd98a08c3f12d0c5675a71b9d73bf7433568713c694ae51606",
 }
 
 BAD_CELLS = ("nan", "inf", "-inf", "abc", "", "1e999", "-0.0", " 2.5 ", "-0", "4.9e-324")
@@ -59,19 +80,7 @@ def _inject_bad_cells(flows_dir) -> None:
             csv.writer(fp).writerows(rows)
 
 
-def _digest(path) -> str:
-    """One file's SHA-256, or one over a directory's file names and bytes."""
-    h = hashlib.sha256()
-    if os.path.isdir(path):
-        for name in sorted(os.listdir(path)):
-            h.update(name.encode() + b"\0")
-            h.update(hashlib.sha256(open(os.path.join(path, name), "rb").read()).digest())
-    else:
-        h.update(open(path, "rb").read())
-    return h.hexdigest()
-
-
-def extraction_digests(root) -> dict[str, str]:
+def extraction_digests(root) -> tuple[dict[str, str], dict[str, str]]:
     root = str(root)
     capture = os.path.join(root, "capture")
     manifest = save_dataset(_capture(), capture)
@@ -82,8 +91,10 @@ def extraction_digests(root) -> dict[str, str]:
     _inject_bad_cells(os.path.join(injected, "data", "flows"))
     main(["extract", "--manifest", manifest, "--out", os.path.join(injected, "extract")])
     save_dataset(load_dataset(manifest), os.path.join(injected, "resaved"))
-    return {name: _digest(os.path.join(root, name)) for name in EXPECTED}
+    return file_digests({name: os.path.join(root, name) for name in EXPECTED})
 
 
 def test_extraction_outputs_byte_identical(tmp_path):
-    assert extraction_digests(tmp_path) == EXPECTED
+    out, values = extraction_digests(tmp_path)
+    assert values == EXPECTED_VALUES
+    assert out == EXPECTED

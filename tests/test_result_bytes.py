@@ -22,6 +22,12 @@ baselines with an L2 penalty of 1e-2, and the test-split scores of an oc
 run whose penalty coefficient `lambda` is 0. Its expected digests were
 recorded with the code in which each family chose its heads and its
 penalty on its own.
+
+Score digests hash the float64 bytes of the score array. Beside each dict
+of file digests, a `*_VALUES` dict holds value digests of the same files
+(`conftest.value_digest`): these change only when a written value does,
+not when the text that spells it does. They were recorded with the code
+that wrote every float at 17 significant digits.
 """
 
 import csv
@@ -51,14 +57,24 @@ from flowgnn.cli import main
 from flowgnn.serialize import format_rows
 from flowgnn.training import task_data
 
+from .conftest import file_digests
+
 EXPECTED = {
     "mlp_flow.json": "8ec174f504239ab265d36b87a1bfd5256efacb549ab72fcd354715385827dfe5",
     "mlp_flow.csv": "f9206e7544502a26f8b2e878ff2ad81c952d38eb572ca43aba29a5c22cb5afa8",
     "mlp_combined.json": "85b051298d7031f9593005abd91a7f315e78264fa291036c255bf4da62284175",
     "mlp_combined.csv": "c65b89e24ac8caf1af7ead89b345c94d10d916551b77f5b2da96c003b26dc8a5",
     "clf_checkpoint.json": "47fe3808686a238173efc278ee41160bcc147c770e29c821648bb041df586148",
-    "ae_scores": "df11920a6d35fd78dee6296051c484f1108b6c7acdd84266209a91d6e5988a21",
-    "oc_scores": "76c6abeb35c68b57e44b785f93b22621649e0d495fa261cbb52b91c836eee0e2",
+    "ae_scores": "efc125766f12a58bf07b63eed6f2d325fe9d56df105117cd1667075afbf00e58",
+    "oc_scores": "f8cd63ff2cbf312e4b9d54ec373f9fbb1a837da5d1af97019ba388f65d10ad11",
+}
+
+EXPECTED_VALUES = {
+    "mlp_flow.json": "47e64e73fadc32b54679290d6ec3ba2efb74a96696e35a7515a6a3af2faf1f2a",
+    "mlp_flow.csv": "cc785710a750475118a356e0c904d4cb21ad97bbb9eb52f566a5768a716fc97a",
+    "mlp_combined.json": "2acce37923b1f1af19178ab60738f45d4e42dc938d9bdd204e0fd830f4d2145c",
+    "mlp_combined.csv": "e83626fb93a7f475e70ee6afd52fa234918def433f07623a26bbce36537e4f4e",
+    "clf_checkpoint.json": "d2fe247b5a51d2d8b7466179bb1e8497d034822f2d9531a14bd0faa94635735f",
 }
 
 CLI_EXPECTED = {
@@ -74,6 +90,19 @@ CLI_EXPECTED = {
     "mlp_oc/scores.csv": "95f3c2e2b085ecd1c79a397205a13c655f38dd188557c673e8936588f783e334",
 }
 
+CLI_EXPECTED_VALUES = {
+    "clf/checkpoint.json": "55e019b12b4afd99aff5bea2725f2ec82f1dca69a28501adef7834e8d0b51467",
+    "clf/history.json": "5db87775406487ede4029afe758b3b518bad09fabc1d26dd3b61df9a71518366",
+    "clf/metrics.json": "491c4d0fdf54dfa14c9cda969ed9fd5f708d1018fb382b642720c369c39abeef",
+    "clf/metrics.csv": "0d94410570bcb72e0259665e6e9d3a2da1dd2e41dcda540b11dde895a5c6002f",
+    "clf/scores.csv": "1558c33c440dc537f26ef002eb1b06063062a80457c1918e41c92bdc4677d0ef",
+    "mlp_oc/checkpoint.json": "89da06a270fa93ce50a200d3d6e1f2887f8d9ed6c3711a4e931e0865f4228394",
+    "mlp_oc/history.json": "4d1f9e065700fe3fc37d1ba57ecaf9a401cddad725a62364da1a739603e37087",
+    "mlp_oc/metrics.json": "bac5d671a972e9a2cf4f4c89b66acb2be9ef66e3a7d33d70eb30a1a72ce1b9d7",
+    "mlp_oc/metrics.csv": "8602f5a2a8fa32531fd6101e198dae3e37139af5ecc5f3af6349eeb19e2c3cc4",
+    "mlp_oc/scores.csv": "a951845d519ee4ebfdf4467d0ed5af9cd680b767d74cbf32edf173ebdde86b49",
+}
+
 PENALTY_EXPECTED = {
     "mlp_l2.json": "14ae9cc3693e255bcb0d518a2c78ad7d92de4b067e2e604223ca88d7ea54ae8f",
     "mlp_l2.csv": "e1935416bbb6f78c6eaf66cd5e456cd041f2a031ae5dd401d70b33bb05e4d3cc",
@@ -81,18 +110,22 @@ PENALTY_EXPECTED = {
     "mlp_ae_l2.csv": "27062ee1366b523c64a5efc9dfc5ac706bb17dbaeef12809aef79ae10abbf9a7",
     "mlp_oc_l2.json": "d4e8ea071e6e9e2556e5820592e585f440332daaf7a8b54bb8a314f6431a58f2",
     "mlp_oc_l2.csv": "70f5c2cdc7e427741f211171b0b10a786f8c896835653a49f45c906b29af0f5f",
-    "oc_lambda0_scores": "ae192a21340bebbb1d56589af26422b31b728c989bbb4797b81a5ef7fe9b0dc9",
+    "oc_lambda0_scores": "e7bf4d6d237c2e48d055f75da523afb6265b9cf98d7497252ff9dafcad660483",
+}
+
+PENALTY_EXPECTED_VALUES = {
+    "mlp_l2.json": "fa6d5bb6c628373cd7c2e54b744defd4334d6697aae8424c1ab459731fe12062",
+    "mlp_l2.csv": "be0d4177be91c69085c99184e889925bc26188e8087b0a5a63830763e9bf0435",
+    "mlp_ae_l2.json": "fb26fbaad8d734a7c651b4bba586d9cd26375d4d3b30eb34b8fd15420484b74b",
+    "mlp_ae_l2.csv": "733a2092e91a0c243348ed869f831ffd5bfad6b7efecdacce32ba79eeb151e7d",
+    "mlp_oc_l2.json": "ccbe3d52b1087a3b7e379473f5a590b7d23502c0bdcf6b23ae42bb8eeb3d3b03",
+    "mlp_oc_l2.csv": "52523707749c4909644e7b28f7f6d1abaabb688421180384cbe4908e2de91910",
 }
 
 
 def _data():
     dataset = synth_generate(SynthSpec(class_sizes=(30, 20), delta=1.5, max_nodes=7), seed=41)
     return dataset, [build_flow_graph(s) for s in dataset.samples]
-
-
-def _digest(path) -> str:
-    with open(path, "rb") as fp:
-        return hashlib.sha256(fp.read()).hexdigest()
 
 
 def _fit(spec, config, graphs, dataset):
@@ -104,14 +137,13 @@ def _fit(spec, config, graphs, dataset):
 
 def _scores_digest(job, model) -> str:
     scores = model.anomaly_scores(job.batch(list(job.split.test)))
-    text = "\n".join(",".join(row) for row in format_rows(scores[:, None]))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(scores.tobytes()).hexdigest()
 
 
-def result_digests(root) -> dict[str, str]:
+def result_digests(root) -> tuple[dict[str, str], dict[str, str]]:
     root = str(root)
     dataset, graphs = _data()
-    out = {}
+    paths = {}
     for feature_set in ("flow", "combined"):
         spec = ProtocolSpec("binary", "mlp", feature_set=feature_set, quota=10,
                             val_fraction=0.3)
@@ -119,7 +151,7 @@ def result_digests(root) -> dict[str, str]:
                              patience=5)
         result = run_protocol(spec, graphs, config, n_repeats=2, root_seed=3, dataset=dataset)
         for path in write_report(result, root, f"mlp_{feature_set}"):
-            out[os.path.basename(path)] = _digest(path)
+            paths[os.path.basename(path)] = path
 
     spec = ProtocolSpec("binary", "clf", quota=10, val_fraction=0.3)
     config = TrainConfig(variant="clf", num_hidden=8, learning_rate=1e-2, dropout=0.2,
@@ -127,24 +159,27 @@ def result_digests(root) -> dict[str, str]:
     job, standardizer, fit = _fit(spec, config, graphs, dataset)
     path = os.path.join(root, "clf_checkpoint.json")
     save_checkpoint(path, fit.model, config, standardizer, {"data": "synth"})
-    out["clf_checkpoint.json"] = _digest(path)
+    paths["clf_checkpoint.json"] = path
+    out, values = file_digests(paths)
 
     for variant in ("ae", "oc"):
         spec = ProtocolSpec("unsupervised", variant)
         config = TrainConfig(variant=variant, num_hidden=8, max_epochs=4, seed=7)
         job, _, fit = _fit(spec, config, graphs, dataset)
         out[f"{variant}_scores"] = _scores_digest(job, fit.model)
-    return out
+    return out, values
 
 
 def test_results_byte_identical(tmp_path):
-    assert result_digests(tmp_path) == EXPECTED
+    out, values = result_digests(tmp_path)
+    assert values == EXPECTED_VALUES
+    assert out == EXPECTED
 
 
-def penalty_digests(root) -> dict[str, str]:
+def penalty_digests(root) -> tuple[dict[str, str], dict[str, str]]:
     root = str(root)
     dataset, graphs = _data()
-    out = {}
+    paths = {}
     for variant, task in (("mlp", "binary"), ("mlp_ae", "unsupervised"),
                           ("mlp_oc", "unsupervised")):
         split = {"quota": 10, "val_fraction": 0.3} if task == "binary" else {}
@@ -153,17 +188,20 @@ def penalty_digests(root) -> dict[str, str]:
                              patience=5, l2=1e-2)
         result = run_protocol(spec, graphs, config, n_repeats=2, root_seed=3, dataset=dataset)
         for path in write_report(result, root, f"{variant}_l2"):
-            out[os.path.basename(path)] = _digest(path)
+            paths[os.path.basename(path)] = path
+    out, values = file_digests(paths)
 
     spec = ProtocolSpec("unsupervised", "oc")
     config = TrainConfig(variant="oc", num_hidden=8, max_epochs=4, seed=7, lambda_=0.0)
     job, _, fit = _fit(spec, config, graphs, dataset)
     out["oc_lambda0_scores"] = _scores_digest(job, fit.model)
-    return out
+    return out, values
 
 
 def test_penalties_byte_identical(tmp_path):
-    assert penalty_digests(tmp_path) == PENALTY_EXPECTED
+    out, values = penalty_digests(tmp_path)
+    assert values == PENALTY_EXPECTED_VALUES
+    assert out == PENALTY_EXPECTED
 
 
 CLI_RUNS = {
@@ -179,12 +217,13 @@ CLI_RUNS = {
 }
 
 
-def cli_digests() -> dict[str, str]:
-    """Digests of the CLI's train, evaluate and score outputs, run in the
-    current directory so that the data paths in run info are relative."""
+def cli_digests() -> tuple[dict[str, str], dict[str, str]]:
+    """Text and value digests of the CLI's train, evaluate and score
+    outputs, run in the current directory so that the data paths in run
+    info are relative."""
     save_dataset(_data()[0], "data")
     assert main(["extract", "--manifest", "data/manifest.json", "--out", "."]) == 0
-    out = {}
+    paths = {}
     for name, (data, config) in CLI_RUNS.items():
         with open(f"{name}.json", "w", encoding="utf-8") as fp:
             json.dump({"data": data, **config}, fp)
@@ -195,13 +234,15 @@ def cli_digests() -> dict[str, str]:
                      "--out", f"{name}/scores.csv"]) == 0
         for file in ("checkpoint.json", "history.json", "metrics.json", "metrics.csv",
                      "scores.csv"):
-            out[f"{name}/{file}"] = _digest(os.path.join(name, file))
-    return out
+            paths[f"{name}/{file}"] = os.path.join(name, file)
+    return file_digests(paths)
 
 
 def test_cli_outputs_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert cli_digests() == CLI_EXPECTED
+    out, values = cli_digests()
+    assert values == CLI_EXPECTED_VALUES
+    assert out == CLI_EXPECTED
 
 
 @pytest.mark.parametrize("feature_set", ["flow", "graph", "combined"])
