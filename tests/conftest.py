@@ -127,6 +127,15 @@ def file_digests(paths: dict) -> tuple[dict[str, str], dict[str, str]]:
             {name: value_digest(path) for name, path in paths.items()})
 
 
+def print_digests(**dicts) -> None:
+    """Print digest dicts as Python source, to paste over the pinned ones."""
+    for name, digests in dicts.items():
+        print(f"{name} = {{")
+        for key, digest in digests.items():
+            print(f'    "{key}": "{digest}",')
+        print("}\n")
+
+
 def _hash_path(h, path: str) -> None:
     if os.path.isdir(path):
         for name in sorted(os.listdir(path)):
@@ -175,6 +184,7 @@ __all__ = [
     "make_graph",
     "make_sample",
     "permute_graph",
+    "print_digests",
     "random_connected_graph",
     "table_columns",
     "text_digest",

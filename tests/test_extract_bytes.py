@@ -14,6 +14,9 @@ change of results.
 (`conftest.value_digest`), which change only when a written value does,
 not when the text that spells it does. They were recorded with the code
 that wrote every float at 17 significant digits.
+
+`PYTHONPATH=src python -m tests.test_extract_bytes` prints both digest dicts
+as they stand, to paste over the pinned ones when outputs change on purpose.
 """
 
 import csv
@@ -23,7 +26,7 @@ from dataclasses import replace
 from flowgnn import FlowDataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from flowgnn.cli import main
 
-from .conftest import file_digests
+from .conftest import file_digests, print_digests
 
 EXPECTED = {
     "capture/flows": "cc1fc48b15cc52e0e23129a73b90004d32dba505990be21c743b6efbcbcb5843",
@@ -98,3 +101,12 @@ def test_extraction_outputs_byte_identical(tmp_path):
     out, values = extraction_digests(tmp_path)
     assert values == EXPECTED_VALUES
     assert out == EXPECTED
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -m tests.test_extract_bytes prints the current digests
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        text, values = extraction_digests(tmp)
+    print_digests(EXPECTED=text, EXPECTED_VALUES=values)

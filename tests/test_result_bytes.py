@@ -23,6 +23,10 @@ run whose penalty coefficient `lambda` is 0. Its expected digests were
 recorded with the code in which each family chose its heads and its
 penalty on its own.
 
+`PYTHONPATH=src python -m tests.test_result_bytes` prints every digest
+dict as it stands, to paste over the pinned ones when outputs change on
+purpose.
+
 Score digests hash the float64 bytes of the score array. Beside each dict
 of file digests, a `*_VALUES` dict holds value digests of the same files
 (`conftest.value_digest`): these change only when a written value does,
@@ -57,7 +61,7 @@ from flowgnn.cli import main
 from flowgnn.serialize import format_rows
 from flowgnn.training import task_data
 
-from .conftest import file_digests
+from .conftest import file_digests, print_digests
 
 EXPECTED = {
     "mlp_flow.json": "8ec174f504239ab265d36b87a1bfd5256efacb549ab72fcd354715385827dfe5",
@@ -256,3 +260,18 @@ def test_extract_csvs_hold_feature_matrix_rows(tmp_path, feature_set):
     assert [row[0] for row in rows] == [g.sample_id for g in graphs]
     expected = format_rows(feature_matrix(graphs, feature_set, dataset))
     assert [row[4:] for row in rows] == expected
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python -m tests.test_result_bytes prints the current digests
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        results = result_digests(os.path.join(tmp, "results"))
+        penalties = penalty_digests(os.path.join(tmp, "penalties"))
+        os.makedirs(os.path.join(tmp, "cli"))
+        os.chdir(os.path.join(tmp, "cli"))
+        cli = cli_digests()
+    print_digests(EXPECTED=results[0], EXPECTED_VALUES=results[1],
+                  CLI_EXPECTED=cli[0], CLI_EXPECTED_VALUES=cli[1],
+                  PENALTY_EXPECTED=penalties[0], PENALTY_EXPECTED_VALUES=penalties[1])
