@@ -21,7 +21,6 @@ from .ingest import (
     FlowTable,
     LabelTriple,
     SampleFlows,
-    drop_metadata_columns,
     load_dataset,
     parse_flow_file,
     save_dataset,

@@ -2,9 +2,10 @@
 
 A checkpoint holds everything needed to score raw graphs again: the
 train config, every parameter tensor, batch-norm running statistics,
-the one-class center and the fitted standardizer. Floats carry 17
-significant digits, so save/load round-trips bit-exactly and identical
-runs write identical bytes.
+the one-class center and the fitted standardizer. Floats are written as
+their shortest round-trip text, so save/load round-trips bit-exactly and
+identical runs write identical bytes; checkpoints that earlier versions
+wrote with 17 significant digits load to the same model.
 """
 
 from __future__ import annotations

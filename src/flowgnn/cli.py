@@ -109,7 +109,7 @@ def _write_feature_csv(path, graphs, matrix, names) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["sample_id", *LABEL_LEVELS, *names])
-        for graph, cells in zip(graphs, serialize.format_rows(matrix)):
+        for graph, cells in zip(graphs, serialize.finite_rows(matrix)):
             labels = {} if graph.labels is None else graph.labels.to_dict()
             writer.writerow([graph.sample_id, *(labels.get(level, "") for level in LABEL_LEVELS),
                              *cells])
@@ -282,9 +282,11 @@ def cmd_evaluate(args) -> int:
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["split", "metric", "value"])
-        for part, entry in report["splits"].items():
-            writer.writerow([part, entry["metric"], serialize.format_float(entry["value"])])
-            logger.info("%s %s = %.4f", part, entry["metric"], entry["value"])
+        splits = report["splits"]
+        values = serialize.finite_rows([[entry["value"]] for entry in splits.values()])
+        for (part, entry), (value,) in zip(splits.items(), values):
+            writer.writerow([part, entry["metric"], value])
+            logger.info("%s %s = %.4f", part, entry["metric"], value)
     return 0
 
 
@@ -299,7 +301,7 @@ def cmd_score(args) -> int:
         header = ["sample_id", "score"]
     else:
         header = ["sample_id"] + [f"p_class_{i}" for i in range(values.shape[1])]
-    rows = [[g.sample_id] + cells for g, cells in zip(graphs, serialize.format_rows(values))]
+    rows = [[g.sample_id] + cells for g, cells in zip(graphs, serialize.finite_rows(values))]
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
     with out as fp:
         writer = csv.writer(fp)

@@ -416,7 +416,7 @@ def feature_matrix(graphs: list[FlowGraph], feature_set: str,
 
 
 def write_graphs_jsonl(graphs, path) -> None:
-    """One graph per line; floats carry 17 significant digits."""
+    """One graph per line; floats are written as their shortest round-trip text."""
     with open(path, "w", encoding="utf-8") as fp:
         for graph in graphs:
             record = {

@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -294,29 +294,6 @@ def parse_flow_file(path, schema: ColumnSchema, sample_id: str | None = None,
     return sample
 
 
-def drop_metadata_columns(dataset: FlowDataset, roles: ColumnSchema | dict) -> FlowDataset:
-    """Remove any feature column whose name is assigned a metadata role.
-
-    Columns already absent are ignored, which makes the operation
-    idempotent.
-    """
-    if isinstance(roles, dict):
-        roles = ColumnSchema.from_dict(roles)
-    to_drop = roles.non_feature_columns()
-    keep = [i for i, name in enumerate(dataset.feature_names) if name not in to_drop]
-    if len(keep) == dataset.feature_dim:
-        return dataset
-    new_samples = [
-        replace(s, flows=FlowTable(s.flows.src_ips, s.flows.dst_ips, s.flows.features[:, keep]))
-        for s in dataset.samples
-    ]
-    return FlowDataset(
-        samples=tuple(new_samples),
-        feature_names=tuple(dataset.feature_names[i] for i in keep),
-        class_maps=dataset.class_maps,
-    )
-
-
 def _class_map(values: list[str], declared: list[str] | None, level: str) -> dict[str, int]:
     if declared is not None:
         table = {name: i for i, name in enumerate(sorted(set(declared)))}
@@ -413,8 +390,8 @@ def save_dataset(dataset: FlowDataset, out_dir, strict: bool = True,
                  min_family_count: int = 0) -> str:
     """Write a dataset as manifest + per-sample CSVs; inverse of load_dataset.
 
-    Floats are written with 17 significant digits so a reload reproduces
-    every feature value bit-exactly.
+    Floats are written as their shortest round-trip text, so a reload
+    reproduces every feature value bit-exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
     flows_dir = os.path.join(out_dir, "flows")
@@ -429,7 +406,7 @@ def save_dataset(dataset: FlowDataset, out_dir, strict: bool = True,
             writer.writerow(["src_ip", "dst_ip", *dataset.feature_names])
             flows = sample.flows
             for src, dst, cells in zip(flows.src_ips, flows.dst_ips,
-                                       serialize.format_rows(flows.features)):
+                                       serialize.finite_rows(flows.features)):
                 writer.writerow([src, dst, *cells])
         labels = {} if sample.labels is None else {
             level: names[level][index] for level, index in sample.labels.to_dict().items()}

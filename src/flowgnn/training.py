@@ -213,6 +213,11 @@ def _val_criterion(job: TrainJob, model) -> Callable[[], float]:
         raise ValueError(f"val_criterion {job.config.val_criterion!r} does not fit variant "
                          f"{job.config.variant!r}; use 'auto' or {own!r}")
     val = list(job.split.val)
+    if own == "auroc":
+        counts = np.bincount(job.binary[val], minlength=2)
+        if not counts.all():
+            raise ValueError(f"the validation split holds {counts[0]} normal and {counts[1]} "
+                             "anomalous graphs; AUROC needs both (raise unsup_val_fraction)")
     inputs = job.batch(val)
 
     def score() -> float:
@@ -507,10 +512,8 @@ def write_report(result: ProtocolResult, out_dir, name: str = "report") -> tuple
     with open(csv_path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["seed", "metric", "value", "best_epoch", "val_score"])
-        for run in result.runs:
-            writer.writerow([
-                run["seed"], run["metric"], serialize.format_float(run["value"]),
-                run["best_epoch"], serialize.format_float(run["val_score"]),
-            ])
+        scores = serialize.finite_rows([[run["value"], run["val_score"]] for run in result.runs])
+        for run, (value, val_score) in zip(result.runs, scores):
+            writer.writerow([run["seed"], run["metric"], value, run["best_epoch"], val_score])
     return json_path, csv_path
 

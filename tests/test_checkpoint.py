@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from flowgnn import serialize
-from flowgnn.checkpoint import load_checkpoint, save_checkpoint
+from flowgnn.checkpoint import checkpoint_dict, load_checkpoint, save_checkpoint
 from flowgnn.errors import ShapeMismatch
+from flowgnn.graphs import read_graphs_jsonl, write_graphs_jsonl
 from flowgnn.mlp import DenseNetwork
 from flowgnn.model import FlowGraphNetwork, make_batch, prepare_graph
 from flowgnn.preprocess import standardize_fit
@@ -11,6 +14,18 @@ from flowgnn.serialize import dumps
 from flowgnn.training import TrainConfig
 
 from .conftest import random_connected_graph
+
+
+def legacy_text(text: str) -> str:
+    """JSON text with every float token spelled as earlier versions wrote
+    it: repr for integer values below 1e16, else 17 significant digits."""
+    def spell(match):
+        token = match.group()
+        if token.startswith('"') or not set(".eE") & set(token):
+            return token
+        x = float(token)
+        return repr(x) if x.is_integer() and abs(x) < 1e16 else format(x, ".17g")
+    return re.sub(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?', spell, text)
 
 
 def graph_model(variant, seed=0, layers=2):
@@ -132,13 +147,34 @@ class TestSerializer:
         with pytest.raises(ValueError):
             dumps([float("inf")])
 
-    def test_format_rows_matches_format_float(self):
-        matrix = np.array([[2.0, -0.0, 0.1 + 0.2], [1e16, 5e-324, -1 / 3]])
-        assert serialize.format_rows(matrix) == [
-            [serialize.format_float(v) for v in row] for row in matrix]
-        matrix[1, 1] = -np.inf
-        with pytest.raises(ValueError, match="-inf"):
-            serialize.format_rows(matrix)
+    def test_legacy_17_digit_text_loads_the_same(self, tmp_path, rng):
+        graphs = [random_connected_graph(rng, d=6, gid=f"g{i}") for i in range(3)]
+        graphs[0].edge_features[0, :2] = [1e16, -0.0]
+        model = graph_model("oc", seed=3)
+        model.init_center(make_batch([prepare_graph(g) for g in graphs]))
+        config = TrainConfig(variant="oc", num_layers=2, num_hidden=5)
+        save_checkpoint(tmp_path / "new.json", model, config,
+                        standardize_fit(rng.normal(size=(10, 6))))
+        write_graphs_jsonl(graphs, tmp_path / "new.jsonl")
+        for suffix in (".json", ".jsonl"):
+            text = (tmp_path / f"new{suffix}").read_text()
+            legacy = legacy_text(text)
+            assert legacy != text
+            (tmp_path / f"old{suffix}").write_text(legacy)
+
+        def reloaded(path):
+            return dumps(checkpoint_dict(*load_checkpoint(path)))
+
+        assert reloaded(tmp_path / "old.json") == reloaded(tmp_path / "new.json")
+
+        def arrays(path):
+            return [(g.sample_id, g.edges, g.edge_features.tobytes())
+                    for g in read_graphs_jsonl(path)]
+
+        assert "10000000000000000" in (tmp_path / "old.jsonl").read_text()
+        assert arrays(tmp_path / "old.jsonl") == arrays(tmp_path / "new.jsonl")
+        assert arrays(tmp_path / "new.jsonl") == [
+            (g.sample_id, g.edges, g.edge_features.tobytes()) for g in graphs]
 
     def test_deterministic_bytes(self):
         obj = {"b": [1.5, 2, None, True], "a": "text", "c": {"k": -0.1}}

@@ -13,7 +13,8 @@ change of results.
 `EXPECTED_VALUES` holds value digests of the same outputs
 (`conftest.value_digest`), which change only when a written value does,
 not when the text that spells it does. They were recorded with the code
-that wrote every float at 17 significant digits.
+that wrote every float at 17 significant digits, and still hold for the
+shortest round-trip text with which `EXPECTED` was re-recorded.
 
 `PYTHONPATH=src python -m tests.test_extract_bytes` prints both digest dicts
 as they stand, to paste over the pinned ones when outputs change on purpose.
@@ -29,17 +30,17 @@ from flowgnn.cli import main
 from .conftest import file_digests, print_digests
 
 EXPECTED = {
-    "capture/flows": "cc1fc48b15cc52e0e23129a73b90004d32dba505990be21c743b6efbcbcb5843",
+    "capture/flows": "67c7bc48312f87e3ed6d336ac19e0871077a8b65dacc82da1bc745a74f02c942",
     "capture/manifest.json": "963e304d1a92ebc3a41093822a399a9a63548f3a79ee651311e08b4f76163ef3",
-    "extract/features_combined.csv": "b563f5aee2dc6597f4a01ddbd96fe29202b66bc1d011a222a3bfa11e0c641fe9",
-    "extract/features_flow.csv": "e726d0dece71e769966fb418d165f6569a5e4b0038cbe04e043acfaf3c83504a",
-    "extract/features_graph.csv": "bdaaa0e9f630f401d93e8c78d67a2e90b3a489e5ab7f448eafa91d21c6c2cdcd",
-    "extract/graphs.jsonl": "8e74758609377a3998dc86529365156167fb0862d52c358f9fe55862f06f391a",
-    "injected/extract/features_combined.csv": "bb7f94863ce739fe5477e75b36aa80cc2702eb89f5daae6ec0be63f08a76cf6d",
-    "injected/extract/features_flow.csv": "633e3dff06c231d27e1e57f3e31bb8d1eb5525f83d4d9e2f42699fc4607a2be3",
-    "injected/extract/features_graph.csv": "bdaaa0e9f630f401d93e8c78d67a2e90b3a489e5ab7f448eafa91d21c6c2cdcd",
-    "injected/extract/graphs.jsonl": "98cb821b98f53300910767c9cb6aaa34176001b49423daaeb719e38238b51a00",
-    "injected/resaved/flows": "2ac7dc4614121739c33f49c08b2978f247dd230552dc6f8b50b2852b53db64a0",
+    "extract/features_combined.csv": "9a5e4bca23aa48796c1fe2ce24d7083fc369fee6cd656b7a6c131cb5c2db6412",
+    "extract/features_flow.csv": "0362877a01389e1d3537ccbfc3fb2c44cd2a77b30d945b7006852c98487a8659",
+    "extract/features_graph.csv": "03cf4ab2521fd9fbadc22415067445347a336bb408d9676007ab6c737ceacf4f",
+    "extract/graphs.jsonl": "9fa647c39eb66ca38fdac6a59b1bc14903726580754f72afccb4892c6e405324",
+    "injected/extract/features_combined.csv": "7787b643321a907eb29db4613273a663ae11430b11e095d8038061fc813f67b3",
+    "injected/extract/features_flow.csv": "868e0c08b8afb97363ae30da2c9948d017c07aa298d6c4edfe657d6c308bdc5a",
+    "injected/extract/features_graph.csv": "03cf4ab2521fd9fbadc22415067445347a336bb408d9676007ab6c737ceacf4f",
+    "injected/extract/graphs.jsonl": "81b3022d7bc861662ad6087f50875a2c188df5609bcd0099311197a5a9c7f0c9",
+    "injected/resaved/flows": "bc1f5e6492c0425ad4670e8b8d48b8a2b4c5f1eab0a8c76b9fddddf2f5b2e6cc",
     "injected/resaved/manifest.json": "963e304d1a92ebc3a41093822a399a9a63548f3a79ee651311e08b4f76163ef3",
 }
 

@@ -1,8 +1,13 @@
 import json
+import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flowgnn import serialize
 from flowgnn.errors import (
@@ -20,7 +25,6 @@ from flowgnn.ingest import (
     FlowTable,
     LabelTriple,
     SampleFlows,
-    drop_metadata_columns,
     load_dataset,
     parse_flow_file,
     save_dataset,
@@ -183,34 +187,6 @@ class TestFlowTable:
             FlowTable(("a", "b"), ("b",), np.zeros((2, 1)))
 
 
-class TestDropMetadataColumns:
-    def make_dataset(self, names):
-        flows = (FlowRecord("a", "b", tuple(float(i) for i in range(len(names)))),)
-        sample = SampleFlows("s0", flows, None)
-        return FlowDataset((sample,), tuple(names), {})
-
-    def test_drops_named_roles(self):
-        ds = self.make_dataset(["f0", "sport", "f1", "ts"])
-        roles = ColumnSchema(src_ip="src", dst_ip="dst", src_port="sport", timestamp="ts")
-        out = drop_metadata_columns(ds, roles)
-        assert out.feature_names == ("f0", "f1")
-        assert out.samples[0].flows.features.tolist() == [[0.0, 2.0]]
-
-    def test_absent_columns_noop(self):
-        ds = self.make_dataset(["f0", "f1"])
-        roles = ColumnSchema(src_ip="src", dst_ip="dst", src_port="sport")
-        out = drop_metadata_columns(ds, roles)
-        assert out is ds
-
-    def test_idempotent(self):
-        ds = self.make_dataset(["f0", "sport", "f1"])
-        roles = ColumnSchema(src_ip="src", dst_ip="dst", src_port="sport")
-        once = drop_metadata_columns(ds, roles)
-        twice = drop_metadata_columns(once, roles)
-        assert twice.feature_names == once.feature_names
-        assert table_columns(twice.samples[0].flows) == table_columns(once.samples[0].flows)
-
-
 class TestLabelTriple:
     @pytest.mark.parametrize("values", [(2, 0), (-1, 0), (0.5, 0), (0, -1), (0, 1.0),
                                         (1, 1, -2), (0, None), (None, 0)])
@@ -341,6 +317,18 @@ class TestLoadDataset:
         assert d1.feature_names == d2.feature_names
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def one_sample_dataset(matrix) -> FlowDataset:
+    """One labelled sample whose flows carry `matrix` as features."""
+    ips = tuple(f"10.0.0.{i % 3}" for i in range(len(matrix)))
+    table = FlowTable(ips, ips[::-1], matrix)
+    return FlowDataset((SampleFlows("s0", table, LabelTriple(0, 0)),),
+                       tuple(f"f{j}" for j in range(matrix.shape[1])),
+                       {"binary": {"benign": 0}, "category": {"benign": 0}})
+
+
 class TestRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, rng):
         samples = []
@@ -369,15 +357,25 @@ class TestRoundTrip:
     def test_columnar_round_trip_bit_exact(self, tmp_path):
         values = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1.5e-310, 0.1 + 0.2, 1 / 3,
                   -2 / 3, 1e16, 123456789.12345679, 1.7976931348623157e308, -7.0]
-        matrix = np.array(values).reshape(4, 3)
-        table = FlowTable(("a", "b", "a", "c"), ("b", "a", "b", "a"), matrix)
-        ds = FlowDataset((SampleFlows("s0", table, LabelTriple(0, 0)),), ("x", "y", "z"),
-                         {"binary": {"benign": 0}, "category": {"benign": 0}})
+        ds = one_sample_dataset(np.array(values).reshape(4, 3))
         loaded = load_dataset(save_dataset(ds, tmp_path / "out"))
-        assert loaded.samples[0].flows.features.tobytes() == matrix.tobytes()
-        assert table_columns(loaded.samples[0].flows) == table_columns(table)
+        assert table_columns(loaded.samples[0].flows) == table_columns(ds.samples[0].flows)
 
-    def test_format_float_round_trip(self, rng):
-        for _ in range(200):
-            x = float(rng.normal(scale=10.0 ** rng.integers(-300, 300)))
-            assert float(serialize.format_float(x)) == x
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)
+                      | st.sampled_from(EDGE_FLOATS)))
+    @example(np.array([EDGE_FLOATS]))
+    def test_finite_matrices_round_trip_bit_exact(self, matrix):
+        assert np.array(json.loads(serialize.dumps(matrix))).tobytes() == matrix.tobytes()
+        with tempfile.TemporaryDirectory() as out:
+            loaded = load_dataset(save_dataset(one_sample_dataset(matrix), out))
+        assert loaded.samples[0].flows.features.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_on_both_paths(self, tmp_path, bad):
+        matrix = np.array([[1.0, bad], [2.0, 3.0]])
+        with pytest.raises(ValueError):
+            serialize.dumps(matrix)
+        with pytest.raises(ValueError, match=re.escape(f"serialized: {bad!r}")):
+            save_dataset(one_sample_dataset(matrix), tmp_path)

@@ -31,7 +31,8 @@ Score digests hash the float64 bytes of the score array. Beside each dict
 of file digests, a `*_VALUES` dict holds value digests of the same files
 (`conftest.value_digest`): these change only when a written value does,
 not when the text that spells it does. They were recorded with the code
-that wrote every float at 17 significant digits.
+that wrote every float at 17 significant digits, and still hold for the
+shortest round-trip text with which every text digest was re-recorded.
 """
 
 import csv
@@ -58,17 +59,17 @@ from flowgnn import (
     write_report,
 )
 from flowgnn.cli import main
-from flowgnn.serialize import format_rows
+from flowgnn.serialize import finite_rows
 from flowgnn.training import task_data
 
 from .conftest import file_digests, print_digests
 
 EXPECTED = {
-    "mlp_flow.json": "8ec174f504239ab265d36b87a1bfd5256efacb549ab72fcd354715385827dfe5",
-    "mlp_flow.csv": "f9206e7544502a26f8b2e878ff2ad81c952d38eb572ca43aba29a5c22cb5afa8",
-    "mlp_combined.json": "85b051298d7031f9593005abd91a7f315e78264fa291036c255bf4da62284175",
-    "mlp_combined.csv": "c65b89e24ac8caf1af7ead89b345c94d10d916551b77f5b2da96c003b26dc8a5",
-    "clf_checkpoint.json": "47fe3808686a238173efc278ee41160bcc147c770e29c821648bb041df586148",
+    "mlp_flow.json": "59ff7474f97e6203db60f61884bab4b150dda0bda35197bbb6973765bdfb761d",
+    "mlp_flow.csv": "8f481493f323b1140dbbf6a682168a0232f4abe668c6f261892c972b0f2a29d6",
+    "mlp_combined.json": "6e658e009818ab256885a28edd442b808e1e1cc928c1a94eb57048d2c94ad772",
+    "mlp_combined.csv": "886dfd8873ad36546330374b5a282fb1df5c600c00a42c98b0ef0bd3ce7e67a4",
+    "clf_checkpoint.json": "45f70d84e4d8502073e4e56df06c1bc16225e640db8db6f812061a23ae54e60d",
     "ae_scores": "efc125766f12a58bf07b63eed6f2d325fe9d56df105117cd1667075afbf00e58",
     "oc_scores": "f8cd63ff2cbf312e4b9d54ec373f9fbb1a837da5d1af97019ba388f65d10ad11",
 }
@@ -82,16 +83,16 @@ EXPECTED_VALUES = {
 }
 
 CLI_EXPECTED = {
-    "clf/checkpoint.json": "5a436e30545d53203570164db9029ecb670ee9afdd535f14936dc64e85103bd5",
-    "clf/history.json": "834f6f9f0d1a9cfe908ccd76bbab89829f14276a180109fc40dfaadf1d3b4c55",
-    "clf/metrics.json": "400cd17db74a7908ff8e6dddc1b69fd768c48326cd233c501fde00570f3cc931",
-    "clf/metrics.csv": "2ac32ec35deabf7af8d654323f12c01d146e33d3975a12a81659990b02b405ba",
-    "clf/scores.csv": "ec6c137780d91aa8c68d27c121a50fa4e01f26e081594e966e09f418700f66e2",
-    "mlp_oc/checkpoint.json": "7816aea528032b79b458fd99341a7148250b4f3b77510cb6e80862088f0ee2d6",
-    "mlp_oc/history.json": "ad2cf474cbb530974260a1692d46a42fbd2001f9f7bb1e32cef7c16d22628219",
+    "clf/checkpoint.json": "29dc77a2fde1caaf7980855c6bded96f2b8e662fb64342f865b8bef004e9b0ba",
+    "clf/history.json": "f7f69d73612713b04647415478dd0a101a38fbf77ba64fc696361dba3b243632",
+    "clf/metrics.json": "b9c2a7c3c4a24dc343a2f9d3449e9c7f5145b3de068a38ae9c2416a977ef9229",
+    "clf/metrics.csv": "7abcac44a206e0aeebebe40cefabd0abfe755843f80578f8544a1c0a11129202",
+    "clf/scores.csv": "630dc4c2ea3f6a91624e449fbbf930a98720d85277b027e0f9d01873476a7f63",
+    "mlp_oc/checkpoint.json": "3fd037510035e7f14750e4c0fc5e4ee5f958b52a5371b75efa9cc2c9afdd7bad",
+    "mlp_oc/history.json": "005dc9e12e1d232ef56d5770063ab0accdc89ee860319930413f87017e135a1c",
     "mlp_oc/metrics.json": "83b2c8a50a72610784566ba29998632118e7ea2e6ef94aea3cdb9b7016629f91",
     "mlp_oc/metrics.csv": "a4ba889a4df20f705f6257d72ec9fb0d5c06d0156c27df75e8dde0eea81a2889",
-    "mlp_oc/scores.csv": "95f3c2e2b085ecd1c79a397205a13c655f38dd188557c673e8936588f783e334",
+    "mlp_oc/scores.csv": "8ee5e901b9cb2d985278dda41a00a6e60546cfdb007e2c505ab3d734327f40b6",
 }
 
 CLI_EXPECTED_VALUES = {
@@ -108,12 +109,12 @@ CLI_EXPECTED_VALUES = {
 }
 
 PENALTY_EXPECTED = {
-    "mlp_l2.json": "14ae9cc3693e255bcb0d518a2c78ad7d92de4b067e2e604223ca88d7ea54ae8f",
-    "mlp_l2.csv": "e1935416bbb6f78c6eaf66cd5e456cd041f2a031ae5dd401d70b33bb05e4d3cc",
-    "mlp_ae_l2.json": "9b7ae7ac936ea71d1389e0d8e3cb7857e9ff3c898073467c48276476f53ba974",
-    "mlp_ae_l2.csv": "27062ee1366b523c64a5efc9dfc5ac706bb17dbaeef12809aef79ae10abbf9a7",
-    "mlp_oc_l2.json": "d4e8ea071e6e9e2556e5820592e585f440332daaf7a8b54bb8a314f6431a58f2",
-    "mlp_oc_l2.csv": "70f5c2cdc7e427741f211171b0b10a786f8c896835653a49f45c906b29af0f5f",
+    "mlp_l2.json": "4527f43adbb08a82618c264b96950e53eef9480c0f2181b33b252b00fcb1ea30",
+    "mlp_l2.csv": "0ceeae7cf2827fb5e108833501e6a571f4a0cb0045a25ffa5d126a718a7838e1",
+    "mlp_ae_l2.json": "58833070138d488965fc75657bf2b00b7881c5657ac8910866dce23e973fe445",
+    "mlp_ae_l2.csv": "3d6ff70ec034aa055dc07bc5724b2b7c2d1c574cb6365c289e74767f9ebaec1f",
+    "mlp_oc_l2.json": "9df94297f71db2c178e425c934ec296ea9db92ef636e32afdf97ed19d9d45cbd",
+    "mlp_oc_l2.csv": "3184e538c228031f9d696162066f6530f16fa51771dccd8f5698678e705001a1",
     "oc_lambda0_scores": "e7bf4d6d237c2e48d055f75da523afb6265b9cf98d7497252ff9dafcad660483",
 }
 
@@ -258,8 +259,8 @@ def test_extract_csvs_hold_feature_matrix_rows(tmp_path, feature_set):
     with open(tmp_path / "out" / f"features_{feature_set}.csv", newline="") as fp:
         rows = list(csv.reader(fp))[1:]
     assert [row[0] for row in rows] == [g.sample_id for g in graphs]
-    expected = format_rows(feature_matrix(graphs, feature_set, dataset))
-    assert [row[4:] for row in rows] == expected
+    expected = finite_rows(feature_matrix(graphs, feature_set, dataset))
+    assert [row[4:] for row in rows] == [list(map(repr, row)) for row in expected]
 
 
 if __name__ == "__main__":

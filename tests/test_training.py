@@ -124,6 +124,20 @@ class TestValCriterion:
             train(job)
         assert steps == []
 
+    def test_one_class_validation_rejected_before_any_step(self, monkeypatch):
+        dataset = synth_generate(SynthSpec(class_sizes=(95, 5), delta=4.0), seed=3)
+        graphs = [build_flow_graph(s) for s in dataset.samples]
+        labels = {"binary": labels_at_level(graphs, "binary")}
+        spec = ProtocolSpec("unsupervised", "ae")
+        job, _ = make_job(spec, quick_config(variant="ae", max_epochs=2),
+                          make_split(spec, labels, 0), graphs, None, labels)
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+        with pytest.raises(ValueError, match="validation split holds 8 normal and 0 anomalous"
+                                             r".*unsup_val_fraction"):
+            train(job)
+        assert steps == []
+
     def test_own_metric_equals_auto(self, small_task):
         _, graphs, labels = small_task
         _, auto, _ = make_clf_job(graphs, labels, max_epochs=3)
