@@ -357,9 +357,13 @@ class TestRoundTrip:
     def test_columnar_round_trip_bit_exact(self, tmp_path):
         values = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1.5e-310, 0.1 + 0.2, 1 / 3,
                   -2 / 3, 1e16, 123456789.12345679, 1.7976931348623157e308, -7.0]
-        ds = one_sample_dataset(np.array(values).reshape(4, 3))
+        matrix = np.array(values).reshape(4, 3)
+        table = FlowTable(("a", "b", "a", "c"), ("b", "a", "b", "a"), matrix)
+        ds = FlowDataset((SampleFlows("s0", table, LabelTriple(0, 0)),), ("x", "y", "z"),
+                         {"binary": {"benign": 0}, "category": {"benign": 0}})
         loaded = load_dataset(save_dataset(ds, tmp_path / "out"))
-        assert table_columns(loaded.samples[0].flows) == table_columns(ds.samples[0].flows)
+        assert loaded.samples[0].flows.features.tobytes() == matrix.tobytes()
+        assert table_columns(loaded.samples[0].flows) == table_columns(table)
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
