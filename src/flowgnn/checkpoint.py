@@ -19,7 +19,6 @@ from .training import TrainConfig, build_model
 
 def checkpoint_dict(model, config: TrainConfig, standardizer: Standardizer | None = None,
                     run_info: dict | None = None) -> dict:
-    state = model.state()
     return {
         "variant": config.variant,
         "pool": config.pool,
@@ -29,12 +28,7 @@ def checkpoint_dict(model, config: TrainConfig, standardizer: Standardizer | Non
             "in_dim": model.in_dim,
             "num_classes": model.num_classes,
         },
-        "params": [
-            {"name": name, "shape": list(data.shape), "values": data.ravel()}
-            for name, data in state["params"]
-        ],
-        "batchnorm": state["batchnorm"],
-        "oc_center": None if state["center"] is None else state["center"].ravel(),
+        **model.state(),  # params, batchnorm and oc_center
         "preprocess": None if standardizer is None else standardizer.to_dict(),
         "run_info": run_info or {},
     }
@@ -53,15 +47,7 @@ def load_checkpoint(path):
     # the rng only shapes initial weights, which are overwritten below
     model = build_model(config, int(raw["model"]["in_dim"]),
                         raw["model"]["num_classes"], np.random.default_rng(0))
-    state = {
-        "params": [
-            (p["name"], np.asarray(p["values"], dtype=np.float64).reshape(p["shape"]))
-            for p in raw["params"]
-        ],
-        "batchnorm": raw["batchnorm"],
-        "center": raw["oc_center"],
-    }
-    model.load_state(state)
+    model.load_state(raw)
     standardizer = None
     if raw.get("preprocess") is not None:
         standardizer = Standardizer.from_dict(raw["preprocess"])

@@ -36,10 +36,10 @@ from .nn import (
     gather_rows,
     mul,
     mul_const,
+    no_tape,
     relu,
     scatter_rows,
     segment_pool,
-    softmax_rows,
     sub,
     sum_all,
 )
@@ -305,11 +305,15 @@ class Network:
     def logits(self, inputs, mode: str = EVAL, rng=None) -> Tensor:
         return self._head(self.pooled(inputs, mode, rng), mode, rng)
 
+    @no_tape()
     def predict_proba(self, inputs) -> np.ndarray:
         # the head sees every pooled row at once: with fewer than four
         # classes, a row slice of its matmul can differ from the whole
-        return softmax_rows(self._head(self.embed(inputs), EVAL, None)).data
+        logits = self._head(self.embed(inputs), EVAL, None).data
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return exp / exp.sum(axis=1, keepdims=True)
 
+    @no_tape()
     def init_center(self, inputs) -> np.ndarray:
         """Freeze the hypersphere center at the mean initial embedding.
 
@@ -346,6 +350,7 @@ class Network:
             value = self.oc_loss(inputs, mode, rng)
         return value if self.penalty is None else value + self._l2_term()
 
+    @no_tape()
     def anomaly_scores(self, inputs) -> np.ndarray:
         """Higher = more anomalous; eval mode, no dropout."""
         if self.role == "ae":
@@ -356,10 +361,12 @@ class Network:
                          f"not {self.variant!r}")
 
     def state(self) -> dict:
+        """Parameters, batch-norm statistics and center in the checkpoint's layout."""
         return {
-            "params": [(p.name, p.data.copy()) for p in self.parameters()],
+            "params": [{"name": p.name, "shape": list(p.shape), "values": p.data.ravel().copy()}
+                       for p in self.parameters()],
             "batchnorm": [bn.state() for bn in self.batch_norms()],
-            "center": None if self.center is None else self.center.copy(),
+            "oc_center": None if self.center is None else self.center.ravel().copy(),
         }
 
     def load_state(self, state: dict) -> None:
@@ -369,14 +376,17 @@ class Network:
             raise ShapeMismatch("parameter inventory mismatch")
         if len(norms) != len(state["batchnorm"]):
             raise ShapeMismatch("batch-norm inventory mismatch")
-        for p, (name, data) in zip(params, state["params"]):
-            data = np.asarray(data, dtype=np.float64)
-            if p.name != name or p.data.shape != data.shape:
-                raise ShapeMismatch(f"parameter {p.name} does not match stored {name}")
-            p.data = data.copy()
+        for p, stored in zip(params, state["params"]):
+            values = np.array(stored["values"], dtype=np.float64)
+            if p.name != stored["name"] or list(p.shape) != list(stored["shape"]):
+                raise ShapeMismatch(f"parameter {p.name} does not match stored {stored['name']}")
+            if values.size != p.data.size:
+                raise ShapeMismatch(f"parameter {p.name} stores {values.size} values, "
+                                    f"not the {p.data.size} of shape {p.shape}")
+            p.data = values.reshape(p.shape)
         for bn, stored in zip(norms, state["batchnorm"]):
             bn.load_state(stored)
-        center = state.get("center")
+        center = state["oc_center"]
         if center is not None and np.size(center) != self.num_hidden:
             raise ShapeMismatch(f"center has {np.size(center)} entries, not {self.num_hidden}")
         self.center = None if center is None else np.asarray(center, dtype=np.float64).reshape(1, -1)
@@ -506,13 +516,7 @@ class FlowGraphNetwork(Network):
         return self._in_blocks(batch, errors)
 
     # perfbench/layers.py times forward passes by wrapping these three in
-    # this class body, so each one restates Network's version
-
-    def loss(self, batch: GraphBatch, targets=None, mode: str = TRAIN, rng=None) -> Tensor:
-        return super().loss(batch, targets, mode, rng)
-
-    def predict_proba(self, batch: GraphBatch) -> np.ndarray:
-        return super().predict_proba(batch)
-
-    def anomaly_scores(self, batch: GraphBatch) -> np.ndarray:
-        return super().anomaly_scores(batch)
+    # this class body, so the class holds Network's functions by name
+    loss = Network.loss
+    predict_proba = Network.predict_proba
+    anomaly_scores = Network.anomaly_scores

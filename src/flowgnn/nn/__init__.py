@@ -13,10 +13,10 @@ from .tensor import (
     matmul,
     mul,
     mul_const,
+    no_tape,
     relu,
     scatter_rows,
     segment_pool,
-    softmax_rows,
     sub,
     sum_all,
 )
@@ -41,10 +41,10 @@ __all__ = [
     "matmul",
     "mul",
     "mul_const",
+    "no_tape",
     "relu",
     "scatter_rows",
     "segment_pool",
-    "softmax_rows",
     "sub",
     "sum_all",
 ]

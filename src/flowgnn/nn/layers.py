@@ -87,27 +87,15 @@ class BatchNorm:
             out_data = out_data + beta.data
         _check_finite(out_data, "batchnorm")
 
-        if mode == TRAIN:
-
-            def backward(g: Array):
-                d_gamma = (g * x_hat).sum(axis=0, keepdims=True)
-                d_xhat = g * gamma.data
-                dx = inv_std * (
-                    d_xhat
-                    - d_xhat.mean(axis=0)
-                    - x_hat * (d_xhat * x_hat).sum(axis=0) / n
-                )
-                if beta is None:
-                    return dx, d_gamma
-                return dx, d_gamma, g.sum(axis=0, keepdims=True)
-        else:
-
-            def backward(g: Array):
-                d_gamma = (g * x_hat).sum(axis=0, keepdims=True)
-                dx = g * gamma.data * inv_std
-                if beta is None:
-                    return dx, d_gamma
-                return dx, d_gamma, g.sum(axis=0, keepdims=True)
+        def backward(g: Array):
+            d_gamma = (g * x_hat).sum(axis=0, keepdims=True)
+            d_xhat = g * gamma.data
+            # in eval mode the running statistics are constants
+            dx = (inv_std * (d_xhat - d_xhat.mean(axis=0) - x_hat * (d_xhat * x_hat).sum(axis=0) / n)
+                  if mode == TRAIN else d_xhat * inv_std)
+            if beta is None:
+                return dx, d_gamma
+            return dx, d_gamma, g.sum(axis=0, keepdims=True)
 
         parents = (x, gamma) if beta is None else (x, gamma, beta)
         return Tensor(out_data, parents, backward)

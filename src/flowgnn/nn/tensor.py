@@ -9,14 +9,20 @@ tensors keep .grad = None, and each one's gradient is dropped as soon as
 its closure has run, so a backward pass holds only the gradients still
 waiting to be consumed. The tape stays intact and can be walked again.
 
+Inside `with no_tape():` ops record nothing: each result keeps no
+parents and no closure, so an eval pass builds no graph for backward() to
+walk (as torch.no_grad does).
+
 Leaf tensors are checked for NaN/Inf when they are built; every op checks
 its own result once and raises NumericalError naming itself, so a
 diverging training run fails loudly at the op that produced it. relu and
 concat_cols cannot turn finite inputs into non-finite outputs and skip it.
+The checks run with or without a tape.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +30,21 @@ import numpy as np
 from ..errors import NotScalarLoss, NumericalError, ShapeMismatch
 
 Array = np.ndarray
+_recording = True
+
+
+@contextmanager
+def no_tape():
+    """Ops inside this block record no tape; also usable as a decorator.
+
+    Recording resumes as it was on leaving, also when the block raises.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _as_2d(data) -> Array:
@@ -53,8 +74,8 @@ class Tensor:
         if not _parents:
             _check_finite(self.data, "tensor construction")
         self.grad: Array | None = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if _recording else ()
+        self._backward = _backward if _recording else None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -334,19 +355,6 @@ def segment_pool(a: Tensor, offsets: Array, mode: str) -> Tensor:
             grad[argmax, cols] = g
             return (grad,)
         return (np.repeat(g / counts[:, None] if mode == "mean" else g, counts, axis=0),)
-
-    return Tensor(out_data, (a,), backward)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=1, keepdims=True)
-    _check_finite(out_data, "softmax_rows")
-
-    def backward(g: Array):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        return (out_data * (g - dot),)
 
     return Tensor(out_data, (a,), backward)
 

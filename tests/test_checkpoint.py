@@ -129,6 +129,16 @@ class TestMismatchedCheckpoint:
         with pytest.raises(ShapeMismatch, match=message):
             load_checkpoint(path)
 
+    def test_array_one_value_short_names_its_parameter(self, tmp_path):
+        config = TrainConfig(variant="ae", num_layers=2, num_hidden=5)
+
+        def drop_last(raw):
+            next(p for p in raw["params"] if p["name"] == "f2.W")["values"].pop()
+
+        path = self.edited(tmp_path, graph_model("ae"), config, drop_last)
+        with pytest.raises(ShapeMismatch, match=r"parameter f2\.W stores 49 values, not the 50"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["batchnorm"].pop(), "batch-norm inventory"),
         (lambda raw: raw["batchnorm"][0].update(gamma=[2.0], running_mean=[0.5]), "gamma"),

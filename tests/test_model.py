@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowgnn import model as model_module
-from flowgnn.errors import EmptyGraph, FlowDataError, ShapeMismatch
+from flowgnn.errors import EmptyGraph, FlowDataError, NumericalError, ShapeMismatch
 from flowgnn.graphs import FlowGraph
 from flowgnn.model import (
     POOLS,
@@ -12,7 +12,8 @@ from flowgnn.model import (
     prepare_graph,
     propagation_matrices,
 )
-from flowgnn.nn import Adam, finite_difference_check
+from flowgnn.nn import Adam, Tensor, finite_difference_check
+from flowgnn.training import TrainConfig, build_model
 
 from .conftest import make_graph, permute_graph, random_connected_graph
 
@@ -495,3 +496,78 @@ def encoder_blocks(monkeypatch, call) -> list[int]:
         patch.setattr(FlowGraphNetwork, "encode", counting)
         call()
     return np.cumsum([0] + sizes).tolist()
+
+
+def role_model(variant):
+    """A two-layer model of variant with eval-time batch-norm statistics,
+    and inputs for it: a batch of five graphs or five feature rows."""
+    model = build_model(TrainConfig(variant=variant, num_layers=2, num_hidden=6), 4, 3,
+                        np.random.default_rng(3))
+    state_rng = np.random.default_rng(4)
+    for bn in model.batch_norms():
+        bn.running_mean = state_rng.normal(size=6)
+        bn.running_var = state_rng.random(6) + 0.5
+    if isinstance(model, FlowGraphNetwork):
+        graph_rng = np.random.default_rng(5)
+        return model, make_batch([prepare_graph(random_connected_graph(graph_rng, gid=f"g{i}"))
+                                  for i in range(5)])
+    return model, state_rng.normal(size=(5, 4))
+
+
+def eval_calls(model) -> list[str]:
+    return {"clf": ["predict_proba"], "ae": ["anomaly_scores"],
+            "oc": ["init_center", "anomaly_scores"]}[model.role]
+
+
+def tape_size(loss) -> int:
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestNoTape:
+    @pytest.mark.parametrize("variant", ["clf", "ae", "oc", "mlp", "mlp_ae", "mlp_oc"])
+    def test_eval_pass_records_nothing_and_matches_taped_pass(self, monkeypatch, variant):
+        model, inputs = role_model(variant)
+        built = []
+        init = Tensor.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        for name in eval_calls(model):
+            built.clear()
+            out = getattr(model, name)(inputs)
+            assert built and all(t._parents == () and t._backward is None for t in built)
+            built.clear()
+            taped = getattr(type(model), name).__wrapped__(model, inputs)  # recording on
+            assert any(t._backward is not None for t in built)
+            assert out.tobytes() == taped.tobytes()
+
+    @pytest.mark.parametrize("variant", ["clf", "ae", "oc", "mlp", "mlp_ae", "mlp_oc"])
+    def test_train_tape_unchanged_by_eval_pass(self, variant):
+        model, inputs = role_model(variant)
+        if model.role == "oc":
+            model.init_center(inputs)
+        targets = np.arange(5) % 3
+
+        def train_tape():
+            return tape_size(model.loss(inputs, targets, rng=np.random.default_rng(0)))
+
+        before = train_tape()
+        getattr(model, eval_calls(model)[-1])(inputs)
+        assert before > 10 and train_tape() == before
+
+    def test_tape_resumes_after_numerical_error(self):
+        model, batch = role_model("ae")
+        bad = make_batch([prepare_graph(random_connected_graph(np.random.default_rng(6)))])
+        bad.x[0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            model.anomaly_scores(bad)
+        assert tape_size(model.loss(batch)) > 10

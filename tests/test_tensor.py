@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flowgnn.errors import NotScalarLoss, NumericalError, ShapeMismatch
+from flowgnn.mlp import DenseNetwork
 from flowgnn.nn import (
     EVAL,
     BatchNorm,
@@ -15,10 +16,10 @@ from flowgnn.nn import (
     matmul,
     mul,
     mul_const,
+    no_tape,
     relu,
     scatter_rows,
     segment_pool,
-    softmax_rows,
     sum_all,
 )
 
@@ -72,22 +73,51 @@ def test_relu_matches_where_form_bit_for_bit(rng):
     assert grad.tobytes() == (g * mask).tobytes()
 
 
+def _proba(logits):
+    """predict_proba of an mlp whose logits are the given rows: its hidden
+    layer lifts each row above zero through relu and its head lowers it back."""
+    logits = np.asarray(logits, dtype=np.float64)
+    k = logits.shape[1]
+    model = DenseNetwork("mlp", k, k, 1, np.random.default_rng(0), num_classes=k)
+    for layer, shift in ((model.hidden[0], 2000.0), (model.out, -2000.0)):
+        layer.W.data, layer.b.data = np.eye(k), np.full((1, k), shift)
+    return model.predict_proba(logits)
+
+
 def test_softmax_symmetry():
-    y = softmax_rows(Tensor([[0.0, 0.0]]))
-    assert np.allclose(y.data, [[0.5, 0.5]])
+    assert np.array_equal(_proba([[0.0, 0.0]]), [[0.5, 0.5]])
 
 
 def test_softmax_large_logits_stay_finite():
-    y = softmax_rows(Tensor([[1000.0, 0.0]]))
-    assert np.all(np.isfinite(y.data))
-    assert y.data[0, 0] == pytest.approx(1.0)
-    assert y.data[0, 1] == pytest.approx(0.0)
+    y = _proba([[1000.0, 0.0]])
+    assert np.all(np.isfinite(y))
+    assert y[0, 0] == pytest.approx(1.0)
+    assert y[0, 1] == pytest.approx(0.0)
 
 
 def test_softmax_rows_sum_to_one(rng):
-    x = Tensor(rng.normal(scale=5.0, size=(40, 7)))
-    y = softmax_rows(x)
-    assert np.allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
+    y = _proba(rng.normal(scale=5.0, size=(40, 7)))
+    assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_no_tape_nests_and_restores_recording():
+    a = Parameter([[1.0, 2.0]], "a")
+    with no_tape():
+        with no_tape():
+            inner = add(a, a)
+        outer = mul(a, a)
+    after = add(a, a)
+    assert inner._parents == () and inner._backward is None
+    assert outer._parents == () and outer._backward is None
+    assert after._parents == (a, a) and after._backward is not None
+
+
+def test_no_tape_keeps_finiteness_checks_and_recovers_from_them():
+    big = Tensor([[1e200]])
+    with pytest.raises(NumericalError, match="matmul"), np.errstate(over="ignore"):
+        with no_tape():
+            matmul(big, big)
+    assert matmul(big, Tensor([[1.0]]))._parents != ()
 
 
 def test_cross_entropy_symmetric_case():
