@@ -24,10 +24,7 @@ def checkpoint_dict(model, config: TrainConfig, standardizer: Standardizer | Non
         "pool": config.pool,
         "num_layers": config.num_layers,
         "config": config.to_dict(),
-        "model": {
-            "in_dim": model.in_dim,
-            "num_classes": model.num_classes,
-        },
+        "model": {"in_dim": model.in_dim, "num_classes": model.num_classes},
         **model.state(),  # params, batchnorm and oc_center
         "preprocess": None if standardizer is None else standardizer.to_dict(),
         "run_info": run_info or {},
@@ -48,7 +45,6 @@ def load_checkpoint(path):
     model = build_model(config, int(raw["model"]["in_dim"]),
                         raw["model"]["num_classes"], np.random.default_rng(0))
     model.load_state(raw)
-    standardizer = None
-    if raw.get("preprocess") is not None:
-        standardizer = Standardizer.from_dict(raw["preprocess"])
+    preprocess = raw.get("preprocess")
+    standardizer = None if preprocess is None else Standardizer.from_dict(preprocess)
     return model, config, standardizer, raw.get("run_info", {})

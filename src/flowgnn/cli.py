@@ -39,6 +39,7 @@ from .training import (
     TrainJob,
     _judge,
     evaluate_metrics,
+    grid_configs,
     grid_search,
     make_job,
     make_split,
@@ -180,7 +181,9 @@ def _load_job(spec: ProtocolSpec, train_config: TrainConfig, data_path, seed: in
     return graphs, job, standardizer
 
 
-def _train_setup(args):
+def _train_setup(args, grid: bool = False):
+    """The config, its spec, the job and its standardizer; the train config
+    and every grid cell of gridsearch are checked before any data loads."""
     config = _load_config(args)
     if "data" not in config:
         raise UsageError("config needs 'data' (graphs.jsonl or dataset manifest)")
@@ -189,6 +192,9 @@ def _train_setup(args):
         train_config = TrainConfig.from_dict(
             {**config.get("train", {}), "variant": spec.variant, "seed": args.seed}
         )
+        if grid:
+            config["grid"] = config.get("grid") or DEFAULT_GRIDS[spec.variant]
+            grid_configs(config["grid"], train_config)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     _, job, standardizer = _load_job(spec, train_config, config["data"], args.seed)
@@ -244,9 +250,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    config, spec, job, standardizer = _train_setup(args)
-    grid = config.get("grid") or DEFAULT_GRIDS[spec.variant]
-    result = grid_search(grid, job, workers=args.workers)
+    config, spec, job, standardizer = _train_setup(args, grid=True)
+    result = grid_search(config["grid"], job, workers=args.workers)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.best_fit.model,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize
 from .errors import EmptyInput, FlowDataError, InconsistentDimension, UnknownLabel
-from .ingest import LABEL_LEVELS, FlowDataset, LabelTriple, SampleFlows
+from .ingest import LABEL_LEVELS, FlowDataset, LabelTriple, SampleFlows, _check_unique_ids
 
 AGGREGATIONS = ("mean", "median", "std", "skew", "kurt")
 
@@ -470,4 +470,5 @@ def read_graphs_jsonl(path) -> list[FlowGraph]:
                 feature_names=names,
                 labels=labels,
             ))
+    _check_unique_ids(g.sample_id for g in graphs)
     return graphs

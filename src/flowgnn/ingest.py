@@ -314,7 +314,9 @@ def load_dataset(manifest_path) -> FlowDataset:
     manifest = serialize.load_path(manifest_path)
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
     schema = ColumnSchema.from_dict(manifest["schema"])
-    strict = bool(manifest.get("strict", True))
+    strict = manifest.get("strict", True)
+    if not isinstance(strict, bool):
+        raise FlowDataError(f"{manifest_path}: strict must be true or false, not {strict!r}")
     min_family_count = int(manifest.get("min_family_count", 9))
     declared = manifest.get("classes", {})
 

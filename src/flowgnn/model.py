@@ -67,16 +67,6 @@ class PropagationPair:
     dst: np.ndarray
     weights: np.ndarray
 
-    def b_in_dense(self) -> np.ndarray:
-        out = np.zeros((self.num_nodes, self.num_edges))
-        out[self.dst, np.arange(self.num_edges)] = self.weights
-        return out
-
-    def b_out_dense(self) -> np.ndarray:
-        out = np.zeros((self.num_nodes, self.num_edges))
-        out[self.src, np.arange(self.num_edges)] = self.weights
-        return out
-
 
 def propagation_matrices(graph: FlowGraph) -> PropagationPair:
     """Incidence matrices with symmetric degree normalization.
@@ -455,8 +445,6 @@ class FlowGraphNetwork(Network):
 
     def encode(self, batch: GraphBatch, mode: str = EVAL, rng=None,
                fwd: _Forward | None = None) -> dict[str, Tensor]:
-        if batch.x.shape[1] != self.in_dim:
-            raise ShapeMismatch(f"batch width {batch.x.shape[1]} != model input {self.in_dim}")
         fwd = fwd if fwd is not None else self._forward(batch, mode, rng)
         e0 = fwd.apply(self.f1, Tensor(batch.x))
         h0 = fwd.to_nodes(self.f2, e0)

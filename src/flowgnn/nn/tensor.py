@@ -9,9 +9,8 @@ tensors keep .grad = None, and each one's gradient is dropped as soon as
 its closure has run, so a backward pass holds only the gradients still
 waiting to be consumed. The tape stays intact and can be walked again.
 
-Inside `with no_tape():` ops record nothing: each result keeps no
-parents and no closure, so an eval pass builds no graph for backward() to
-walk (as torch.no_grad does).
+Inside `with no_tape():` an op's result keeps no parents and no closure,
+so eval passes build no tape (as torch.no_grad does).
 
 Leaf tensors are checked for NaN/Inf when they are built; every op checks
 its own result once and raises NumericalError naming itself, so a
@@ -35,10 +34,7 @@ _recording = True
 
 @contextmanager
 def no_tape():
-    """Ops inside this block record no tape; also usable as a decorator.
-
-    Recording resumes as it was on leaving, also when the block raises.
-    """
+    """Record no tape inside this block (or decorated function), even if it raises."""
     global _recording
     previous, _recording = _recording, False
     try:

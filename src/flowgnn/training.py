@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -86,6 +88,22 @@ class TrainConfig:
     val_criterion: str = "auto"
 
     EXTERNAL_NAMES = {"lambda_": "lambda"}
+
+    def __post_init__(self):
+        def check(names, rule, ok):
+            for name in names:
+                value = getattr(self, name)  # a bool is no count and no rate
+                if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+                    raise ValueError(f"{self.EXTERNAL_NAMES.get(name, name)} must be {rule}, "
+                                     f"got {value!r}")
+
+        integer = numbers.Integral
+        check(("num_layers", "num_hidden", "patience", "max_epochs", "batch_size"),
+              "an integer of at least 1", lambda v: isinstance(v, integer) and v >= 1)
+        check(("seed",), "an integer of at least 0", lambda v: isinstance(v, integer) and v >= 0)
+        check(("learning_rate",), "a finite number above 0", lambda v: 0 < v < math.inf)
+        check(("lambda_", "l2"), "a finite number of at least 0", lambda v: 0 <= v < math.inf)
+        check(("dropout",), "a number in [0, 1)", lambda v: 0 <= v < 1)
 
     def to_dict(self) -> dict:
         return {
@@ -225,14 +243,12 @@ def _val_criterion(job: TrainJob, model) -> Callable[[], float]:
     return score
 
 
-def train(job: TrainJob,
-          criterion_fn: Callable[[object, int], float] | None = None) -> FitResult:
+def train(job: TrainJob) -> FitResult:
     """Train with early stopping; returns the best-epoch model.
 
     The validation criterion is recomputed after every epoch; training
     stops after `patience` consecutive epochs without strict improvement
-    or at `max_epochs`. criterion_fn, when given, replaces the validation
-    computation (used to exercise the stopping logic directly).
+    or at `max_epochs`.
     """
     config = job.config
     rng = np.random.default_rng(config.seed)
@@ -243,7 +259,7 @@ def train(job: TrainJob,
         model.init_center(job.batch(train_idx))
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    val_score = None if criterion_fn is not None else _val_criterion(job, model)
+    val_score = _val_criterion(job, model)
 
     best_val = -np.inf
     best_state = model.state()
@@ -263,7 +279,7 @@ def train(job: TrainJob,
                 losses.append(loss.item())
                 del loss  # frees this step's tape before the update and the next forward
                 optimizer.step()
-            score = criterion_fn(model, epoch) if criterion_fn is not None else val_score()
+            score = val_score()
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
         history.append(EpochRecord(epoch, float(np.mean(losses)), float(score)))
@@ -301,6 +317,12 @@ def expand_grid(grid: dict[str, list]) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in product(*(grid[k] for k in keys))]
 
 
+def grid_configs(grid: dict[str, list], base: TrainConfig) -> list[TrainConfig]:
+    """base with each grid cell's overrides, in expand_grid order; a bad
+    cell raises ValueError."""
+    return [TrainConfig.from_dict({**base.to_dict(), **cell}) for cell in expand_grid(grid)]
+
+
 @dataclass
 class GridSearchResult:
     best_config: TrainConfig
@@ -324,11 +346,7 @@ def grid_search(grid: dict[str, list], base_job: TrainJob,
     while the cells run; test metrics are for the caller to compute.
     """
     combos = expand_grid(grid)
-    jobs = [
-        replace(base_job, config=TrainConfig.from_dict({**base_job.config.to_dict(),
-                                                        **overrides}))
-        for overrides in combos
-    ]
+    jobs = [replace(base_job, config=config) for config in grid_configs(grid, base_job.config)]
     cells: list[dict] = []
     best_index, best_fit = 0, None
     with _mapper(workers) as map_:

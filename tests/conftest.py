@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -7,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from flowgnn import training
 from flowgnn.graphs import FlowGraph, aggregate_feature_names
 from flowgnn.ingest import FlowRecord, LabelTriple, SampleFlows
 
@@ -14,6 +16,27 @@ from flowgnn.ingest import FlowRecord, LabelTriple, SampleFlows
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def script_val_score(monkeypatch):
+    """install(criterion) makes train's validation score criterion(model,
+    epoch) by patching training._val_criterion; each train call counts its
+    epochs from 1."""
+    def install(criterion):
+        def val_criterion(job, model):
+            epochs = itertools.count(1)
+            return lambda: criterion(model, next(epochs))
+        monkeypatch.setattr(training, "_val_criterion", val_criterion)
+    return install
+
+
+def incidence_dense(prop, ends):
+    """A PropagationPair as a dense (nodes, edges) matrix: ends is prop.dst
+    for the incoming matrix and prop.src for the outgoing one."""
+    out = np.zeros((prop.num_nodes, prop.num_edges))
+    out[ends, np.arange(prop.num_edges)] = prop.weights
+    return out
 
 
 def make_graph(edges, d=4, seed=0, gid="g", labels=LabelTriple(0, 0, 0)):

@@ -38,7 +38,7 @@ from flowgnn.training import (
     write_report,
 )
 
-from .conftest import permute_graph, random_connected_graph
+from .conftest import incidence_dense, permute_graph, random_connected_graph
 from .test_graphs import aggregate_oracle
 from .test_metrics import auroc_oracle, f1_oracle
 
@@ -237,7 +237,7 @@ def test_criterion_05_propagation_normalization():
         for e, (s, t) in enumerate(graph.edges):
             expected = 1.0 / np.sqrt((degree[s] + 1.0) * (degree[t] + 1.0))
             assert abs(prop.weights[e] - expected) <= 1e-12
-        b_in, b_out = prop.b_in_dense(), prop.b_out_dense()
+        b_in, b_out = incidence_dense(prop, prop.dst), incidence_dense(prop, prop.src)
         assert np.count_nonzero(b_in) == graph.num_edges
         assert np.count_nonzero(b_out) == graph.num_edges
     _ = rng_master
@@ -312,18 +312,20 @@ def test_criterion_08_protocol_fidelity():
     report_pass(8, "split quotas 100/25/5 and fractions 5%/20%/20%/10% verified")
 
 
-def test_criterion_09_early_stopping(supervised_graphs):
+def test_criterion_09_early_stopping(supervised_graphs, script_val_score):
     labels = {"binary": labels_at_level(supervised_graphs, "binary")}
     spec = ProtocolSpec(task="binary", variant="clf")
     split = make_split(spec, labels, 0)
     job, _ = make_job(spec, replace(SUPERVISED_CONFIG, seed=0, max_epochs=1000),
                       split, supervised_graphs, None, labels)
 
-    flat = train(job, criterion_fn=lambda model, epoch: 0.5)
+    script_val_score(lambda model, epoch: 0.5)
+    flat = train(job)
     assert flat.stopped_epoch == 21 and flat.best_epoch == 1
 
     short_job = replace(job, config=replace(job.config, max_epochs=50))
-    improving = train(short_job, criterion_fn=lambda model, epoch: epoch / 100.0)
+    script_val_score(lambda model, epoch: epoch / 100.0)
+    improving = train(short_job)
     assert improving.stopped_epoch == 50 and improving.best_epoch == 50
 
     sequence = {1: 0.3, 2: 0.8, 3: 0.5, 4: 0.6}
@@ -333,7 +335,8 @@ def test_criterion_09_early_stopping(supervised_graphs):
         snapshots[epoch] = [p.data.copy() for p in model.parameters()]
         return sequence.get(epoch, 0.1)
 
-    injected = train(short_job, criterion_fn=criterion)
+    script_val_score(criterion)
+    injected = train(short_job)
     assert injected.best_epoch == 2
     for p, snap in zip(injected.model.parameters(), snapshots[2]):
         assert np.array_equal(p.data, snap)

@@ -154,6 +154,48 @@ class TestTrain:
         assert not (tmp_path / "checkpoint.json").exists()
 
 
+class TestBadTrainConfig:
+    """A bad train config field exits 2 with one line naming it, before
+    any data loads; every grid cell passes the same check."""
+
+    @pytest.fixture
+    def no_data_load(self, monkeypatch):
+        def load(path):
+            raise AssertionError(f"data loaded from {path}")
+        monkeypatch.setattr(cli, "_load_graph_data", load)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_hidden", 0, "num_hidden must be an integer of at least 1, got 0"),
+        ("learning_rate", "fast", "learning_rate must be a finite number above 0, got 'fast'"),
+        ("batch_size", 0, "batch_size must be an integer of at least 1, got 0"),
+        ("max_epochs", 0, "max_epochs must be an integer of at least 1, got 0"),
+        ("patience", 0, "patience must be an integer of at least 1, got 0"),
+    ], ids=["num_hidden_0", "learning_rate_fast", "batch_size_0", "max_epochs_0",
+            "patience_0"])
+    def test_train_exit_2(self, workspace, tmp_path, capsys, no_data_load, field, value,
+                          message):
+        root, _, out_dir = workspace
+        config = train_config(root, out_dir, **{field: value})
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(message), err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"num_hidden": [8, 0]}, "num_hidden must be an integer of at least 1, got 0"),
+        ({"dropout": [0.0, 1.0]}, "dropout must be a number in [0, 1), got 1.0"),
+    ], ids=["num_hidden_0", "dropout_1"])
+    def test_gridsearch_bad_cell_exit_2(self, workspace, tmp_path, capsys, no_data_load,
+                                        grid, message):
+        root, _, out_dir = workspace
+        config = json.loads(train_config(root, out_dir).read_text())
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**config, "grid": grid}))
+        assert main(["gridsearch", "--config", str(path), "--out", str(tmp_path / "g")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(message), err
+
+
 class TestGridSearch:
     def test_grid_of_one_matches_train(self, workspace, tmp_path):
         root, _, out_dir = workspace

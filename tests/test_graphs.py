@@ -580,6 +580,14 @@ class TestGraphJsonl:
         with pytest.raises(FlowDataError, match=f"'bad'.*{message}"):
             read_graphs_jsonl(path)
 
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "graphs.jsonl"
+        write_graphs_jsonl([make_graph([(0, 1)], gid=gid) for gid in ("a", "b")], path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[0]]) + "\n")
+        with pytest.raises(FlowDataError, match="sample id 'a' appears more than once"):
+            read_graphs_jsonl(path)
+
     def test_mixed_feature_widths_rejected(self, tmp_path):
         path = tmp_path / "graphs.jsonl"
         write_graphs_jsonl([make_graph([(0, 1)], gid="four"),

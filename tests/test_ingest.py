@@ -305,6 +305,17 @@ class TestLoadDataset:
         with pytest.raises(FlowDataError, match="sample id 's' appears more than once"):
             FlowDataset((sample, replace(sample, labels=LabelTriple(0, 0))), ("f0",))
 
+    @pytest.mark.parametrize("strict", ["false", 0, None])
+    def test_strict_must_be_a_json_boolean(self, tmp_path, strict):
+        # the string "false" read as strict before: bool("false") is True
+        write_csv(tmp_path / "a.csv", ["src", "dst", "f1"], [["a", "b", "nan"]])
+        entries = [{"id": "a", "file": "a.csv", "labels": {"binary": "benign",
+                                                           "category": "benign"}}]
+        path = write_manifest(tmp_path, entries, min_family_count=0, strict=strict)
+        with pytest.raises(FlowDataError, match=f"manifest.json: strict must be true or false, "
+                                                f"not {re.escape(repr(strict))}"):
+            load_dataset(path)
+
     def test_deterministic_reload(self, tmp_path):
         write_csv(tmp_path / "a.csv", ["src", "dst", "f1"],
                   [["a", "b", 0.12345678901234567]])

@@ -15,7 +15,7 @@ from flowgnn.model import (
 from flowgnn.nn import Adam, Tensor, finite_difference_check
 from flowgnn.training import TrainConfig, build_model
 
-from .conftest import make_graph, permute_graph, random_connected_graph
+from .conftest import incidence_dense, make_graph, permute_graph, random_connected_graph
 
 
 def degree_oracle(graph):
@@ -32,7 +32,7 @@ class TestPropagationMatrices:
         graph = make_graph([(0, 1)])
         prop = propagation_matrices(graph)
         assert prop.weights[0] == pytest.approx(0.5)
-        b_in, b_out = prop.b_in_dense(), prop.b_out_dense()
+        b_in, b_out = incidence_dense(prop, prop.dst), incidence_dense(prop, prop.src)
         assert b_in[1, 0] == pytest.approx(0.5) and b_in[0, 0] == 0.0
         assert b_out[0, 0] == pytest.approx(0.5) and b_out[1, 0] == 0.0
 
@@ -40,8 +40,8 @@ class TestPropagationMatrices:
         graph = make_graph([(0, 0)])
         prop = propagation_matrices(graph)
         assert prop.weights[0] == pytest.approx(0.5)
-        assert prop.b_in_dense()[0, 0] == pytest.approx(0.5)
-        assert prop.b_out_dense()[0, 0] == pytest.approx(0.5)
+        assert incidence_dense(prop, prop.dst)[0, 0] == pytest.approx(0.5)
+        assert incidence_dense(prop, prop.src)[0, 0] == pytest.approx(0.5)
 
     def test_three_node_path(self):
         graph = make_graph([(0, 1), (1, 2)])
@@ -61,7 +61,7 @@ class TestPropagationMatrices:
     def test_sparsity_matches_incidence(self, rng):
         graph = random_connected_graph(rng)
         prop = propagation_matrices(graph)
-        b_in, b_out = prop.b_in_dense(), prop.b_out_dense()
+        b_in, b_out = incidence_dense(prop, prop.dst), incidence_dense(prop, prop.src)
         for e, (s, t) in enumerate(graph.edges):
             assert b_out[s, e] > 0.0 and b_in[t, e] > 0.0
         assert np.count_nonzero(b_in) == graph.num_edges
@@ -115,8 +115,8 @@ class TestEncode:
         enc = model.encode(batch)
         assert np.allclose(enc["e0"].data, x)
         prop = propagation_matrices(graph)
-        msg_in = prop.b_in_dense() @ x
-        msg_out = prop.b_out_dense() @ x
+        msg_in = incidence_dense(prop, prop.dst) @ x
+        msg_out = incidence_dense(prop, prop.src) @ x
         assert np.allclose(msg_in[0], 0.0) and np.allclose(msg_in[1], 0.5 * x[0])
         assert np.allclose(msg_out[0], 0.5 * x[0]) and np.allclose(msg_out[1], 0.0)
         # h0 equals f2 applied to that concatenation

@@ -59,6 +59,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig.from_dict({"variant": "clf", "zzz": 1})
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("num_layers", True, "num_layers"), ("num_hidden", 8.0, "num_hidden"),
+        ("seed", -1, "seed"), ("learning_rate", 0.0, "learning_rate"),
+        ("lambda_", float("nan"), "lambda"), ("l2", -1e-3, "l2"), ("dropout", 1.0, "dropout"),
+    ])
+    def test_bad_field_rejected_by_name(self, field, value, name):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
+            TrainConfig(**{field: value})
+
     def test_spec_defaults(self):
         config = TrainConfig()
         assert config.patience == 20
@@ -67,21 +76,23 @@ class TestTrainConfig:
 
 
 class TestEarlyStopping:
-    def test_flat_criterion_stops_at_21(self, small_task):
+    def test_flat_criterion_stops_at_21(self, small_task, script_val_score):
         _, graphs, labels = small_task
         _, job, _ = make_clf_job(graphs, labels, max_epochs=1000)
-        result = train(job, criterion_fn=lambda model, epoch: 0.5)
+        script_val_score(lambda model, epoch: 0.5)
+        result = train(job)
         assert result.stopped_epoch == 21
         assert result.best_epoch == 1
 
-    def test_strictly_improving_runs_to_max(self, small_task):
+    def test_strictly_improving_runs_to_max(self, small_task, script_val_score):
         _, graphs, labels = small_task
         _, job, _ = make_clf_job(graphs, labels, max_epochs=30)
-        result = train(job, criterion_fn=lambda model, epoch: epoch / 1000.0)
+        script_val_score(lambda model, epoch: epoch / 1000.0)
+        result = train(job)
         assert result.stopped_epoch == 30
         assert result.best_epoch == 30
 
-    def test_best_epoch_parameters_returned(self, small_task):
+    def test_best_epoch_parameters_returned(self, small_task, script_val_score):
         _, graphs, labels = small_task
         _, job, _ = make_clf_job(graphs, labels, max_epochs=40)
         sequence = {1: 0.1, 2: 0.9, 3: 0.3}  # later epochs default to 0.2
@@ -92,7 +103,8 @@ class TestEarlyStopping:
             snapshots[epoch] = [p.data.copy() for p in model.parameters()]
             return value
 
-        result = train(job, criterion_fn=criterion)
+        script_val_score(criterion)
+        result = train(job)
         assert result.best_epoch == 2
         assert result.stopped_epoch == 22  # 20 non-improving epochs after 2
         for p, snap in zip(result.model.parameters(), snapshots[2]):
