@@ -9,18 +9,19 @@ tensors keep .grad = None, and each one's gradient is dropped as soon as
 its closure has run, so a backward pass holds only the gradients still
 waiting to be consumed. The tape stays intact and can be walked again.
 
-Inside `with no_tape():` an op's result keeps no parents and no closure,
-so eval passes build no tape (as torch.no_grad does).
+Inside `with no_tape():` (per thread, like torch.no_grad) an op's result
+keeps no parents and no closure, so eval passes build no tape.
 
 Leaf tensors are checked for NaN/Inf when they are built; every op checks
 its own result once and raises NumericalError naming itself, so a
 diverging training run fails loudly at the op that produced it. relu and
 concat_cols cannot turn finite inputs into non-finite outputs and skip it.
-The checks run with or without a tape.
+The checks run whether or not a tape is recorded.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -29,18 +30,23 @@ import numpy as np
 from ..errors import NotScalarLoss, NumericalError, ShapeMismatch
 
 Array = np.ndarray
-_recording = True
+
+
+class _TapeState(threading.local):
+    recording = True  # each thread starts out recording
+
+
+_tape = _TapeState()
 
 
 @contextmanager
 def no_tape():
     """Record no tape inside this block (or decorated function), even if it raises."""
-    global _recording
-    previous, _recording = _recording, False
+    previous, _tape.recording = _tape.recording, False
     try:
         yield
     finally:
-        _recording = previous
+        _tape.recording = previous
 
 
 def _as_2d(data) -> Array:
@@ -70,8 +76,9 @@ class Tensor:
         if not _parents:
             _check_finite(self.data, "tensor construction")
         self.grad: Array | None = None
-        self._parents = _parents if _recording else ()
-        self._backward = _backward if _recording else None
+        recording = _tape.recording
+        self._parents = _parents if recording else ()
+        self._backward = _backward if recording else None
 
     @property
     def shape(self) -> tuple[int, int]:

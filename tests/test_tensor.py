@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,17 @@ def test_no_tape_nests_and_restores_recording():
     assert inner._parents == () and inner._backward is None
     assert outer._parents == () and outer._backward is None
     assert after._parents == (a, a) and after._backward is not None
+
+
+def test_no_tape_holds_for_its_own_thread_only():
+    a = Parameter([[1.0]], "a")
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(add(a, a)._parents))
+    with no_tape():
+        worker.start()
+        worker.join(timeout=10)
+        assert add(a, a)._parents == ()
+    assert not worker.is_alive() and seen == [(a, a)]
 
 
 def test_no_tape_keeps_finiteness_checks_and_recovers_from_them():
