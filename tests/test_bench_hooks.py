@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import flowgnn.cli  # noqa: F401  (the tracer wraps cli.cmd_extract)
-from flowgnn import FlowGraphNetwork, training
+from flowgnn import FlowGraphNetwork, PreparedGraph, make_batch, training
 from flowgnn.graphs import build_flow_graph
 from flowgnn.synth import SynthSpec, synth_generate
 from flowgnn.training import ProtocolSpec, TrainConfig, labels_at_level, make_job, make_split
@@ -85,3 +85,20 @@ def test_traced_training_records_every_layer(recorder):
     assert names.count("training.validation") == fit.stopped_epoch
     assert names.count("training.evaluate_metrics") == 1
     assert np.isfinite(fit.best_val)
+
+
+def test_graph_job_holds_prepared_graphs():
+    # perfbench/checks.py batches a graph job's rows itself, from job.prepared
+    dataset = synth_generate(SynthSpec(class_sizes=(12, 12), delta=4.0, max_nodes=5), seed=3)
+    graphs = [build_flow_graph(s) for s in dataset.samples]
+    labels = {"binary": labels_at_level(graphs, "binary")}
+    spec = ProtocolSpec(task="binary", variant="clf", quota=6, val_fraction=0.2)
+    job, _ = make_job(spec, TrainConfig(variant="clf"), make_split(spec, labels, 0), graphs,
+                      None, labels)
+    assert len(job.prepared) == len(graphs)
+    assert all(isinstance(p, PreparedGraph) for p in job.prepared)
+    idx = list(job.split.test)
+    ours, theirs = make_batch([job.prepared[i] for i in idx]), job.batch(idx)
+    for name in ("x", "src", "dst", "weights", "node_offsets", "edge_offsets"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name

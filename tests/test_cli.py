@@ -212,6 +212,22 @@ class TestGridSearch:
         g = serialize.load_path(tmp_path / "g" / "checkpoint.json")
         assert t["params"] == g["params"]
 
+    @pytest.mark.parametrize("variant, grid", [
+        ("clf", {"learning_rate": [1e-2]}), ("mlp", {"num_layers": [1]}),
+    ])
+    def test_train_is_the_one_cell_grid(self, workspace, tmp_path, variant, grid):
+        root, _, out_dir = workspace
+        config = json.loads(train_config(root, out_dir, variant=variant).read_text())
+        config["feature_set"] = "graph" if variant == "mlp" else None
+        paths = {}
+        for command, extra in (("train", {}), ("gridsearch", {"grid": grid})):
+            paths[command] = tmp_path / f"{command}.json"
+            paths[command].write_text(json.dumps({**config, **extra}))
+            assert main([command, "--config", str(paths[command]), "--seed", "5",
+                         "--out", str(tmp_path / command)]) == 0
+        assert (tmp_path / "train" / "checkpoint.json").read_bytes() == \
+               (tmp_path / "gridsearch" / "checkpoint.json").read_bytes()
+
     def test_report_lists_every_cell(self, workspace, tmp_path):
         root, _, out_dir = workspace
         config = json.loads(train_config(root, out_dir).read_text())

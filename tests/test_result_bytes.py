@@ -17,6 +17,13 @@ dataset manifest, checkpoint run info included. Its expected digests were
 recorded with the code whose CLI re-typed the protocol spec's split
 defaults and wrote each label record by hand.
 
+`grid_digests` hashes the checkpoint, best config and cell report that
+`flowgnn gridsearch` writes for a four-cell clf grid on graphs.jsonl and
+for a four-cell mlp_ae grid on a dataset manifest run with `--workers 2`.
+Its expected digests were recorded with the code in which `train` and
+`gridsearch` each had their own CLI body and the training job held graph
+and dense inputs in separate fields.
+
 `penalty_digests` hashes two-repeat protocol reports of all three dense
 baselines with an L2 penalty of 1e-2, and the test-split scores of an oc
 run whose penalty coefficient `lambda` is 0. Its expected digests were
@@ -106,6 +113,24 @@ CLI_EXPECTED_VALUES = {
     "mlp_oc/metrics.json": "bac5d671a972e9a2cf4f4c89b66acb2be9ef66e3a7d33d70eb30a1a72ce1b9d7",
     "mlp_oc/metrics.csv": "8602f5a2a8fa32531fd6101e198dae3e37139af5ecc5f3af6349eeb19e2c3cc4",
     "mlp_oc/scores.csv": "a951845d519ee4ebfdf4467d0ed5af9cd680b767d74cbf32edf173ebdde86b49",
+}
+
+GRID_EXPECTED = {
+    "clf_grid/checkpoint.json": "4f495e6357039a0f42775b21252d6ede45a98f9698a41234b6a3e586211a8814",
+    "clf_grid/best_config.json": "f0d3a9634721c6dd69a2a4e8c5ab93693066849fdeee5e6e209356672d3df26a",
+    "clf_grid/gridsearch.json": "1fbb477bc9b9e56bf7628fbf73c85b06189b75d18f43829de6f57a6ae2f016d1",
+    "mlp_ae_grid/checkpoint.json": "36a8c2ede5ef92ae03233e496c49b939cfbb0a137de0fb1bc7f0465d58ed0f6e",
+    "mlp_ae_grid/best_config.json": "a1a78fa30d1198ba5220927c290ca70ae669ab4e018551148b6124167d309e78",
+    "mlp_ae_grid/gridsearch.json": "df92badbf63a89ce8bd68186ba685edb6ca33d396f982d07ea4d11e7c2bfe2c8",
+}
+
+GRID_EXPECTED_VALUES = {
+    "clf_grid/checkpoint.json": "3d18582dae965ec6db80db0433896000358654652c047595b6d83278a10ff35a",
+    "clf_grid/best_config.json": "9f5832dad6630307c76cca8c4c22eaacb10568a09e54e6b061e0cb18b0a176e3",
+    "clf_grid/gridsearch.json": "70651f998e5d8bd4cee5a10690d9629bfa70c8efec93bacbf57962e85282e1f3",
+    "mlp_ae_grid/checkpoint.json": "fa37ccef9cf12b7e0dc99774f07b344e20f385c5ada6333ffdeab0ce6acfc833",
+    "mlp_ae_grid/best_config.json": "5dcbd4881f672d232e7d4f5b3e86b671d67c6b74ab7ea57485042d8cfeec2530",
+    "mlp_ae_grid/gridsearch.json": "58f6dfcd766a4633e71dad5338216a6cb0cc8a31024de79fc8a5dd6a9bcb4d57",
 }
 
 PENALTY_EXPECTED = {
@@ -222,16 +247,22 @@ CLI_RUNS = {
 }
 
 
-def cli_digests() -> tuple[dict[str, str], dict[str, str]]:
-    """Text and value digests of the CLI's train, evaluate and score
-    outputs, run in the current directory so that the data paths in run
-    info are relative."""
+def _write_cli_inputs(runs: dict) -> None:
+    """The dataset, its extract and each run's config file, written in the
+    current directory so that the data paths in run info are relative."""
     save_dataset(_data()[0], "data")
     assert main(["extract", "--manifest", "data/manifest.json", "--out", "."]) == 0
-    paths = {}
-    for name, (data, config) in CLI_RUNS.items():
+    for name, (data, config) in runs.items():
         with open(f"{name}.json", "w", encoding="utf-8") as fp:
             json.dump({"data": data, **config}, fp)
+
+
+def cli_digests() -> tuple[dict[str, str], dict[str, str]]:
+    """Text and value digests of the CLI's train, evaluate and score
+    outputs, run in the current directory."""
+    _write_cli_inputs(CLI_RUNS)
+    paths = {}
+    for name, (data, config) in CLI_RUNS.items():
         assert main(["train", "--config", f"{name}.json", "--seed", "5", "--out", name]) == 0
         assert main(["evaluate", "--checkpoint", f"{name}/checkpoint.json",
                      "--out", name]) == 0
@@ -248,6 +279,41 @@ def test_cli_outputs_byte_identical(tmp_path, monkeypatch):
     out, values = cli_digests()
     assert values == CLI_EXPECTED_VALUES
     assert out == CLI_EXPECTED
+
+
+GRID_RUNS = {
+    # name: (data, config without data, gridsearch flags)
+    "clf_grid": ("graphs.jsonl", {
+        "task": "binary", "variant": "clf", "split": {"quota": 10, "val_fraction": 0.3},
+        "train": {"learning_rate": 1e-2, "max_epochs": 3},
+        "grid": {"num_hidden": [4, 8], "dropout": [0.0, 0.2]},
+    }, []),
+    "mlp_ae_grid": ("data/manifest.json", {
+        "task": "unsupervised", "variant": "mlp_ae", "feature_set": "combined",
+        "train": {"num_hidden": 8, "max_epochs": 4},
+        "grid": {"num_layers": [1, 2], "l2": [0.0, 1e-2]},
+    }, ["--workers", "2"]),
+}
+
+
+def grid_digests() -> tuple[dict[str, str], dict[str, str]]:
+    """Text and value digests of the CLI's gridsearch outputs, run in the
+    current directory."""
+    _write_cli_inputs({name: run[:2] for name, run in GRID_RUNS.items()})
+    paths = {}
+    for name, (_, _, flags) in GRID_RUNS.items():
+        assert main(["gridsearch", "--config", f"{name}.json", "--seed", "5", "--out", name,
+                     *flags]) == 0
+        for file in ("checkpoint.json", "best_config.json", "gridsearch.json"):
+            paths[f"{name}/{file}"] = os.path.join(name, file)
+    return file_digests(paths)
+
+
+def test_gridsearch_outputs_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out, values = grid_digests()
+    assert values == GRID_EXPECTED_VALUES
+    assert out == GRID_EXPECTED
 
 
 @pytest.mark.parametrize("feature_set", ["flow", "graph", "combined"])
@@ -273,6 +339,8 @@ if __name__ == "__main__":
         os.makedirs(os.path.join(tmp, "cli"))
         os.chdir(os.path.join(tmp, "cli"))
         cli = cli_digests()
+        grids = grid_digests()
     print_digests(EXPECTED=results[0], EXPECTED_VALUES=results[1],
                   CLI_EXPECTED=cli[0], CLI_EXPECTED_VALUES=cli[1],
+                  GRID_EXPECTED=grids[0], GRID_EXPECTED_VALUES=grids[1],
                   PENALTY_EXPECTED=penalties[0], PENALTY_EXPECTED_VALUES=penalties[1])
