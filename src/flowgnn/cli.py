@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -44,7 +45,6 @@ from .training import (
     make_job,
     make_split,
     task_data,
-    train,
 )
 
 logger = logging.getLogger("flowgnn")
@@ -181,26 +181,6 @@ def _load_job(spec: ProtocolSpec, train_config: TrainConfig, data_path, seed: in
     return graphs, job, standardizer
 
 
-def _train_setup(args, grid: bool = False):
-    """The config, its spec, the job and its standardizer; the train config
-    and every grid cell of gridsearch are checked before any data loads."""
-    config = _load_config(args)
-    if "data" not in config:
-        raise UsageError("config needs 'data' (graphs.jsonl or dataset manifest)")
-    spec = _protocol_from_config(config)
-    try:
-        train_config = TrainConfig.from_dict(
-            {**config.get("train", {}), "variant": spec.variant, "seed": args.seed}
-        )
-        if grid:
-            config["grid"] = config.get("grid") or DEFAULT_GRIDS[spec.variant]
-            grid_configs(config["grid"], train_config)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-    _, job, standardizer = _load_job(spec, train_config, config["data"], args.seed)
-    return config, spec, job, standardizer
-
-
 def _load_model(args):
     """The checkpoint's model, train config and standardizer, and the
     protocol spec its run info records. A checkpoint saved without run info
@@ -214,56 +194,57 @@ def _load_model(args):
 
 
 def _run_info(spec: ProtocolSpec, seed: int, data: str) -> dict:
-    return {
-        "task": spec.task,
-        "feature_set": spec.feature_set,
-        "seed": seed,
-        "data": data,
-        "split": {
-            "quota": spec.quota,
-            "val_fraction": spec.val_fraction,
-            "train_fraction": spec.train_fraction,
-            "unsup_val_fraction": spec.unsup_val_fraction,
-        },
-    }
+    split = {key: value for key, value in dataclasses.asdict(spec).items()
+             if key not in ("task", "variant", "feature_set")}
+    return {"task": spec.task, "feature_set": spec.feature_set, "seed": seed, "data": data,
+            "split": split}
 
 
-def cmd_train(args) -> int:
-    config, spec, job, standardizer = _train_setup(args)
-    result = train(job)
+def cmd_train(args, gridsearch: bool = False) -> int:
+    """train is the one-cell grid: its own config alone. The train config
+    and every grid cell are checked before any data loads."""
+    config = _load_config(args)
+    if "data" not in config:
+        raise UsageError("config needs 'data' (graphs.jsonl or dataset manifest)")
+    spec = _protocol_from_config(config)
+    grid = (config.get("grid") or DEFAULT_GRIDS[spec.variant]) if gridsearch else {}
+    try:
+        train_config = TrainConfig.from_dict(
+            {**config.get("train", {}), "variant": spec.variant, "seed": args.seed}
+        )
+        grid_configs(grid, train_config)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
+    _, job, standardizer = _load_job(spec, train_config, config["data"], args.seed)
+    result = grid_search(grid, job, workers=getattr(args, "workers", 1))
+    fit = result.best_fit
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.model,
-                    job.config, standardizer, _run_info(spec, args.seed, config["data"]))
-    serialize.dump_path(
-        {
-            "best_epoch": result.best_epoch,
-            "best_val": result.best_val,
-            "stopped_epoch": result.stopped_epoch,
-            "epochs": [rec.to_dict() for rec in result.history],
-        },
-        os.path.join(out_dir, "history.json"),
-    )
-    logger.info("trained %s/%s: best epoch %d, val %.4f",
-                spec.task, spec.variant, result.best_epoch, result.best_val)
+    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), fit.model, fit.config,
+                    standardizer, _run_info(spec, args.seed, config["data"]))
+    if gridsearch:
+        serialize.dump_path(fit.config.to_dict(), os.path.join(out_dir, "best_config.json"))
+        serialize.dump_path(
+            {"task": spec.task, "variant": spec.variant, "cells": result.cells},
+            os.path.join(out_dir, "gridsearch.json"),
+        )
+    else:
+        serialize.dump_path(
+            {
+                "best_epoch": fit.best_epoch,
+                "best_val": fit.best_val,
+                "stopped_epoch": fit.stopped_epoch,
+                "epochs": [rec.to_dict() for rec in fit.history],
+            },
+            os.path.join(out_dir, "history.json"),
+        )
+    logger.info("trained %s/%s over %d grid cells: best epoch %d, val %.4f", spec.task,
+                spec.variant, len(result.cells), fit.best_epoch, fit.best_val)
     return 0
 
 
 def cmd_gridsearch(args) -> int:
-    config, spec, job, standardizer = _train_setup(args, grid=True)
-    result = grid_search(config["grid"], job, workers=args.workers)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), result.best_fit.model,
-                    result.best_config, standardizer, _run_info(spec, args.seed, config["data"]))
-    serialize.dump_path(result.best_config.to_dict(), os.path.join(out_dir, "best_config.json"))
-    serialize.dump_path(
-        {"task": spec.task, "variant": spec.variant, "cells": result.cells},
-        os.path.join(out_dir, "gridsearch.json"),
-    )
-    logger.info("grid search over %d cells done; best val %.4f",
-                len(result.cells), result.best_fit.best_val)
-    return 0
+    return cmd_train(args, gridsearch=True)
 
 
 def cmd_evaluate(args) -> int:

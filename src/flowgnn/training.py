@@ -125,28 +125,13 @@ class TrainConfig:
 
 def build_model(config: TrainConfig, in_dim: int, num_classes: int | None,
                 rng: np.random.Generator):
+    shared = dict(variant=config.variant, in_dim=in_dim, num_hidden=config.num_hidden,
+                  num_layers=config.num_layers, rng=rng, num_classes=num_classes)
     if config.variant in GRAPH_VARIANTS:
-        return FlowGraphNetwork(
-            variant=config.variant,
-            in_dim=in_dim,
-            num_hidden=config.num_hidden,
-            num_layers=config.num_layers,
-            rng=rng,
-            num_classes=num_classes,
-            pool=config.pool,
-            dropout_p=config.dropout,
-            weight_decay=config.lambda_,
-        )
+        return FlowGraphNetwork(**shared, pool=config.pool, dropout_p=config.dropout,
+                                weight_decay=config.lambda_)
     if config.variant in MLP_VARIANTS:
-        return DenseNetwork(
-            variant=config.variant,
-            in_dim=in_dim,
-            num_hidden=config.num_hidden,
-            num_layers=config.num_layers,
-            rng=rng,
-            num_classes=num_classes,
-            l2=config.l2,
-        )
+        return DenseNetwork(**shared, l2=config.l2)
     raise ValueError(f"unknown variant {config.variant!r}")
 
 
@@ -184,21 +169,21 @@ class FitResult:
 
 @dataclass(frozen=True, eq=False)
 class TrainJob:
-    """A picklable description of one training run on one split: prepared
-    graphs for the graph variants, standardized feature rows for the dense
-    baselines. Models take whatever `batch` returns."""
+    """A picklable description of one training run on one split. prepared
+    holds one PreparedGraph per graph for the graph variants, or the
+    standardized feature matrix for the dense baselines; models take
+    whatever `batch` returns."""
 
     config: TrainConfig
     split: SplitPlan
-    prepared: tuple[PreparedGraph, ...] | None = None
-    features: np.ndarray | None = None
+    prepared: tuple[PreparedGraph, ...] | np.ndarray
     y: np.ndarray | None = None
     binary: np.ndarray | None = None
     num_classes: int | None = None
 
     def batch(self, indices) -> GraphBatch | np.ndarray:
-        if self.prepared is None:
-            return self.features[indices]
+        if isinstance(self.prepared, np.ndarray):
+            return self.prepared[indices]
         return make_batch([self.prepared[i] for i in indices])
 
     def targets(self, indices) -> np.ndarray | None:
@@ -206,7 +191,8 @@ class TrainJob:
 
     @property
     def in_dim(self) -> int:
-        return (self.features if self.prepared is None else self.prepared[0].x).shape[1]
+        first = self.prepared[0]  # one feature row, or one graph's edge rows
+        return getattr(first, "x", first).shape[-1]
 
 
 def _judge(model, inputs, job: TrainJob | None = None, idx=None):
@@ -437,30 +423,22 @@ def make_job(spec: ProtocolSpec, config: TrainConfig, split: SplitPlan,
              prop_cache: list | None = None,
              standardizer: Standardizer | None = None) -> tuple[TrainJob, Standardizer]:
     """Assemble a TrainJob; the standardizer is fit on the split's
-    training rows unless an already-fitted one is supplied."""
+    training rows (edge rows or feature rows) unless an already-fitted one
+    is supplied."""
     # targets only for the supervised tasks; unsupervised ones read binary labels alone
     y = None if spec.task == "unsupervised" else labels_by_level.get(spec.level)
     binary = labels_by_level.get("binary")
     num_classes = None if y is None else int(y.max()) + 1
-    if config.variant in GRAPH_VARIANTS:
-        if standardizer is None:
-            train_rows = np.vstack([graphs[i].edge_features for i in split.train])
-            standardizer = standardize_fit(train_rows)
-        if prop_cache is None:
-            prop_cache = [propagation_matrices(g) for g in graphs]
-        prepared = tuple(
-            PreparedGraph(prop_cache[i], standardizer(g.edge_features))
-            for i, g in enumerate(graphs)
-        )
-        job = TrainJob(config=config, split=split, prepared=prepared,
-                       y=y, binary=binary, num_classes=num_classes)
+    graph = config.variant in GRAPH_VARIANTS
+    rows = [g.edge_features for g in graphs] if graph else raw_features
+    if standardizer is None:
+        standardizer = standardize_fit(np.vstack([rows[i] for i in split.train]))
+    if graph:
+        props = prop_cache or [propagation_matrices(g) for g in graphs]
+        prepared = tuple(PreparedGraph(p, standardizer(x)) for p, x in zip(props, rows))
     else:
-        if standardizer is None:
-            standardizer = standardize_fit(raw_features[list(split.train)])
-        job = TrainJob(config=config, split=split,
-                       features=standardizer(raw_features),
-                       y=y, binary=binary, num_classes=num_classes)
-    return job, standardizer
+        prepared = standardizer(rows)
+    return TrainJob(config, split, prepared, y, binary, num_classes), standardizer
 
 
 def _one_repeat(seed: int, *, spec, config, grid, graphs, raw_features, labels_by_level,
