@@ -201,8 +201,9 @@ def _run_info(spec: ProtocolSpec, seed: int, data: str) -> dict:
 
 
 def cmd_train(args, gridsearch: bool = False) -> int:
-    """train is the one-cell grid: its own config alone. The train config
-    and every grid cell are checked before any data loads."""
+    """Fit every cell of the grid (gridsearch) or of the one-cell grid, the
+    train block alone (train). The train config and every grid cell are
+    checked before any data loads."""
     config = _load_config(args)
     if "data" not in config:
         raise UsageError("config needs 'data' (graphs.jsonl or dataset manifest)")

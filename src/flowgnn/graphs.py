@@ -433,42 +433,60 @@ def write_graphs_jsonl(graphs, path) -> None:
 
 def read_graphs_jsonl(path) -> list[FlowGraph]:
     """Every graph in the file; each x must be an (edges, feature_names)
-    matrix, and every graph must name the first graph's features."""
+    matrix, and every graph must name the first graph's features. A bad
+    record raises FlowDataError naming the file and line."""
     graphs = []
     with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
+        for line_num, line in enumerate(fp, start=1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            raw = rec.get("labels")
             try:
-                if raw is not None and not isinstance(raw, dict):
-                    raise UnknownLabel(f"labels must be an object, not {type(raw).__name__}")
-                labels = None if raw is None else LabelTriple(*map(raw.get, LABEL_LEVELS))
-            except UnknownLabel as exc:
-                raise UnknownLabel(f"graph {rec['id']!r}: {exc}") from None
-            edges = tuple((int(s), int(t)) for s, t in rec["edges"])
-            check_edge_indices(rec["id"], edges, len(rec["nodes"]))
-            names = tuple(rec["feature_names"])
-            if graphs and names != graphs[0].feature_names:
-                raise InconsistentDimension(f"graph {rec['id']!r}: feature names differ from "
-                                            f"those of graph {graphs[0].sample_id!r}")
-            try:
-                x = np.asarray(rec["x"], dtype=np.float64)
-            except ValueError:
-                x = None  # ragged rows, or cells that are not numbers
-            if x is None or x.shape != ((len(edges), len(names)) if edges else (0,)):
-                got = "are not a numeric matrix" if x is None else f"have shape {x.shape}"
-                raise FlowDataError(f"graph {rec['id']!r}: feature rows {got}, expected "
-                                    f"{len(edges)} edges by {len(names)} feature names")
-            graphs.append(FlowGraph(
-                sample_id=rec["id"],
-                nodes=tuple(rec["nodes"]),
-                edges=edges,
-                edge_features=x,
-                feature_names=names,
-                labels=labels,
-            ))
+                graphs.append(_graph_record(json.loads(line), graphs[0] if graphs else None))
+            except json.JSONDecodeError as exc:
+                raise FlowDataError(f"{path}: line {line_num}: not JSON: {exc}") from None
+            except FlowDataError as exc:
+                raise type(exc)(f"{path}: line {line_num}: {exc}") from None
     _check_unique_ids(g.sample_id for g in graphs)
     return graphs
+
+
+def _graph_record(rec, first: FlowGraph | None) -> FlowGraph:
+    """One graphs.jsonl record as a graph; first is the file's first graph."""
+    if not isinstance(rec, dict):
+        raise FlowDataError(f"a graph record is a JSON object, not {type(rec).__name__}")
+    missing = [key for key in ("id", "nodes", "edges", "feature_names", "x") if key not in rec]
+    if missing:
+        raise FlowDataError(f"graph {rec.get('id')!r} lacks {', '.join(missing)}")
+    raw = rec.get("labels")
+    try:
+        if raw is not None and not isinstance(raw, dict):
+            raise UnknownLabel(f"labels must be an object, not {type(raw).__name__}")
+        labels = None if raw is None else LabelTriple(*map(raw.get, LABEL_LEVELS))
+    except UnknownLabel as exc:
+        raise UnknownLabel(f"graph {rec['id']!r}: {exc}") from None
+    try:
+        edges = tuple((int(s), int(t)) for s, t in rec["edges"])
+    except (TypeError, ValueError):
+        raise FlowDataError(f"graph {rec['id']!r}: edges must be [source, target] index "
+                            "pairs") from None
+    check_edge_indices(rec["id"], edges, len(rec["nodes"]))
+    names = tuple(rec["feature_names"])
+    if first is not None and names != first.feature_names:
+        raise InconsistentDimension(f"graph {rec['id']!r}: feature names differ from "
+                                    f"those of graph {first.sample_id!r}")
+    try:
+        x = np.asarray(rec["x"], dtype=np.float64)
+    except ValueError:
+        x = None  # ragged rows, or cells that are not numbers
+    if x is None or x.shape != ((len(edges), len(names)) if edges else (0,)):
+        got = "are not a numeric matrix" if x is None else f"have shape {x.shape}"
+        raise FlowDataError(f"graph {rec['id']!r}: feature rows {got}, expected "
+                            f"{len(edges)} edges by {len(names)} feature names")
+    return FlowGraph(
+        sample_id=rec["id"],
+        nodes=tuple(rec["nodes"]),
+        edges=edges,
+        edge_features=x,
+        feature_names=names,
+        labels=labels,
+    )

@@ -209,34 +209,37 @@ def _to_float(cell: str) -> float:
 
 def _parse_flow_file(path, schema: ColumnSchema, sample_id: str | None,
                      labels: LabelTriple | None, strict: bool) -> tuple[SampleFlows, tuple[str, ...]]:
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptySample(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        positions = {name: i for i, name in enumerate(header)}
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            reader = csv.reader(fp)
+            header = next(reader, None)
+            rows = list(reader)
+    except csv.Error as exc:
+        raise FlowDataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FlowDataError(f"{path}: not UTF-8 text: {exc}") from None
+    if header is None:
+        raise EmptySample(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    positions = {name: i for i, name in enumerate(header)}
 
-        for name in schema.non_feature_columns():
+    for name in schema.non_feature_columns():
+        if name not in positions:
+            raise MissingColumn(f"{path}: schema column {name!r} not in header")
+    if schema.features is not None:
+        for name in schema.features:
             if name not in positions:
-                raise MissingColumn(f"{path}: schema column {name!r} not in header")
-        if schema.features is not None:
-            for name in schema.features:
-                if name not in positions:
-                    raise MissingColumn(f"{path}: feature column {name!r} not in header")
-            feature_cols = sorted(schema.features, key=positions.__getitem__)
-        else:
-            excluded = schema.non_feature_columns()
-            feature_cols = [name for name in header if name not in excluded]
+                raise MissingColumn(f"{path}: feature column {name!r} not in header")
+        feature_cols = sorted(schema.features, key=positions.__getitem__)
+    else:
+        excluded = schema.non_feature_columns()
+        feature_cols = [name for name in header if name not in excluded]
 
-        if not feature_cols:
-            raise FlowDataError(f"{path}: no feature column; every column has a metadata role")
-        src_pos = positions[schema.src_ip]
-        dst_pos = positions[schema.dst_ip]
-        feat_pos = [positions[name] for name in feature_cols]
-
-        rows = list(reader)
+    if not feature_cols:
+        raise FlowDataError(f"{path}: no feature column; every column has a metadata role")
+    src_pos = positions[schema.src_ip]
+    dst_pos = positions[schema.dst_ip]
+    feat_pos = [positions[name] for name in feature_cols]
 
     # rows up to the first malformed one; cells of earlier rows are still
     # checked first, so errors come in file order. A row may stop short of

@@ -47,6 +47,7 @@ from .nn import (
 ROLES = ("clf", "ae", "oc")
 VARIANTS = ROLES  # graph variants are named after their heads' roles
 POOLS = ("mean", "add", "max")
+NUM_LAYERS = (1, 2)  # message-passing rounds, or hidden dense layers
 # Eval passes run the encoder over blocks of whole graphs whose edge rows
 # times num_hidden stay within this many cells, so activations stay in cache.
 EVAL_BLOCK_CELLS = 1 << 16
@@ -254,8 +255,8 @@ class Network:
                  num_hidden: int, num_layers: int, num_classes: int | None):
         if variant not in variants:
             raise ValueError(f"variant must be one of {variants}, got {variant!r}")
-        if num_layers not in (1, 2):
-            raise ValueError("num_layers must be 1 or 2")
+        if num_layers not in NUM_LAYERS:
+            raise ValueError(f"num_layers must be one of {NUM_LAYERS}, got {num_layers!r}")
         self.variant = variant
         self.role = ROLES[variants.index(variant)]
         if self.role == "clf" and not num_classes:

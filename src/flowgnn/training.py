@@ -32,6 +32,8 @@ from .ingest import FlowDataset
 from .metrics import MetricReport, auroc, per_class_precision_recall, weighted_f1
 from .mlp import MLP_VARIANTS, DenseNetwork
 from .model import (
+    NUM_LAYERS,
+    POOLS,
     ROLES,
     VARIANTS as GRAPH_VARIANTS,
     FlowGraphNetwork,
@@ -90,20 +92,27 @@ class TrainConfig:
     EXTERNAL_NAMES = {"lambda_": "lambda"}
 
     def __post_init__(self):
-        def check(names, rule, ok):
+        def check(names, rule, ok, kind=numbers.Real):
             for name in names:
                 value = getattr(self, name)  # a bool is no count and no rate
-                if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+                if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
                     raise ValueError(f"{self.EXTERNAL_NAMES.get(name, name)} must be {rule}, "
                                      f"got {value!r}")
 
         integer = numbers.Integral
-        check(("num_layers", "num_hidden", "patience", "max_epochs", "batch_size"),
+        check(("variant",), f"one of {tuple(VARIANT_ROLES)}", VARIANT_ROLES.__contains__, str)
+        check(("num_layers",), f"one of {NUM_LAYERS}", NUM_LAYERS.__contains__, integer)
+        check(("pool",), f"one of {POOLS}", POOLS.__contains__, str)
+        check(("num_hidden", "patience", "max_epochs", "batch_size"),
               "an integer of at least 1", lambda v: isinstance(v, integer) and v >= 1)
         check(("seed",), "an integer of at least 0", lambda v: isinstance(v, integer) and v >= 0)
         check(("learning_rate",), "a finite number above 0", lambda v: 0 < v < math.inf)
         check(("lambda_", "l2"), "a finite number of at least 0", lambda v: 0 <= v < math.inf)
         check(("dropout",), "a number in [0, 1)", lambda v: 0 <= v < 1)
+        own = "f1" if VARIANT_ROLES[self.variant] == "clf" else "auroc"  # the role's metric
+        if self.val_criterion not in ("auto", own):
+            raise ValueError(f"val_criterion {self.val_criterion!r} does not fit variant "
+                             f"{self.variant!r}; use 'auto' or {own!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -130,9 +139,7 @@ def build_model(config: TrainConfig, in_dim: int, num_classes: int | None,
     if config.variant in GRAPH_VARIANTS:
         return FlowGraphNetwork(**shared, pool=config.pool, dropout_p=config.dropout,
                                 weight_decay=config.lambda_)
-    if config.variant in MLP_VARIANTS:
-        return DenseNetwork(**shared, l2=config.l2)
-    raise ValueError(f"unknown variant {config.variant!r}")
+    return DenseNetwork(**shared, l2=config.l2)
 
 
 def labels_at_level(graphs: list[FlowGraph], level: str) -> np.ndarray:
@@ -210,14 +217,10 @@ def _judge(model, inputs, job: TrainJob | None = None, idx=None):
 
 
 def _val_criterion(job: TrainJob, model) -> Callable[[], float]:
-    """The validation score, recomputed per call; val_criterion may name
-    the role's own metric (f1 for clf, auroc otherwise) or leave it auto."""
-    own = "f1" if model.role == "clf" else "auroc"
-    if job.config.val_criterion not in ("auto", own):
-        raise ValueError(f"val_criterion {job.config.val_criterion!r} does not fit variant "
-                         f"{job.config.variant!r}; use 'auto' or {own!r}")
+    """The validation score, recomputed per call: the role's own metric,
+    which TrainConfig checks val_criterion against."""
     val = list(job.split.val)
-    if own == "auroc":
+    if model.role != "clf":
         counts = np.bincount(job.binary[val], minlength=2)
         if not counts.all():
             raise ValueError(f"the validation split holds {counts[0]} normal and {counts[1]} "
@@ -429,11 +432,11 @@ def make_job(spec: ProtocolSpec, config: TrainConfig, split: SplitPlan,
     y = None if spec.task == "unsupervised" else labels_by_level.get(spec.level)
     binary = labels_by_level.get("binary")
     num_classes = None if y is None else int(y.max()) + 1
-    graph = config.variant in GRAPH_VARIANTS
-    rows = [g.edge_features for g in graphs] if graph else raw_features
+    graph_variant = config.variant in GRAPH_VARIANTS
+    rows = [g.edge_features for g in graphs] if graph_variant else raw_features
     if standardizer is None:
         standardizer = standardize_fit(np.vstack([rows[i] for i in split.train]))
-    if graph:
+    if graph_variant:
         props = prop_cache or [propagation_matrices(g) for g in graphs]
         prepared = tuple(PreparedGraph(p, standardizer(x)) for p, x in zip(props, rows))
     else:

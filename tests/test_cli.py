@@ -170,8 +170,12 @@ class TestBadTrainConfig:
         ("batch_size", 0, "batch_size must be an integer of at least 1, got 0"),
         ("max_epochs", 0, "max_epochs must be an integer of at least 1, got 0"),
         ("patience", 0, "patience must be an integer of at least 1, got 0"),
+        ("num_layers", 3, "num_layers must be one of (1, 2), got 3"),
+        ("pool", "sum", "pool must be one of ('mean', 'add', 'max'), got 'sum'"),
+        ("val_criterion", "auroc", "val_criterion 'auroc' does not fit variant 'clf'; "
+                                   "use 'auto' or 'f1'"),
     ], ids=["num_hidden_0", "learning_rate_fast", "batch_size_0", "max_epochs_0",
-            "patience_0"])
+            "patience_0", "num_layers_3", "pool_sum", "val_criterion_auroc"])
     def test_train_exit_2(self, workspace, tmp_path, capsys, no_data_load, field, value,
                           message):
         root, _, out_dir = workspace
@@ -184,7 +188,8 @@ class TestBadTrainConfig:
     @pytest.mark.parametrize("grid, message", [
         ({"num_hidden": [8, 0]}, "num_hidden must be an integer of at least 1, got 0"),
         ({"dropout": [0.0, 1.0]}, "dropout must be a number in [0, 1), got 1.0"),
-    ], ids=["num_hidden_0", "dropout_1"])
+        ({"pool": ["mean", "sum"]}, "pool must be one of ('mean', 'add', 'max'), got 'sum'"),
+    ], ids=["num_hidden_0", "dropout_1", "pool_sum"])
     def test_gridsearch_bad_cell_exit_2(self, workspace, tmp_path, capsys, no_data_load,
                                         grid, message):
         root, _, out_dir = workspace

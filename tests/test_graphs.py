@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -578,6 +579,22 @@ class TestGraphJsonl:
         edit(rec)
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(FlowDataError, match=f"'bad'.*{message}"):
+            read_graphs_jsonl(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line[:20], "not JSON"),
+        (lambda line: "[1, 2]", "a graph record is a JSON object, not list"),
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "nodes"}),
+         "graph 'bad' lacks nodes"),
+        (lambda line: json.dumps({**json.loads(line), "edges": [[0]]}),
+         "graph 'bad': edges must be [source, target] index pairs"),
+    ], ids=["invalid_json", "json_array", "no_nodes", "edge_not_pair"])
+    def test_bad_line_named_by_file_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "graphs.jsonl"
+        write_graphs_jsonl([make_graph([(0, 1)], gid=gid) for gid in ("a", "bad")], path)
+        first, second = path.read_text().splitlines()
+        path.write_text(f"{first}\n{edit(second)}\n")
+        with pytest.raises(FlowDataError, match=re.escape(f"{path}: line 2: {message}")):
             read_graphs_jsonl(path)
 
     def test_repeated_id_rejected(self, tmp_path):

@@ -125,6 +125,19 @@ class TestParseFlowFile:
         with pytest.raises(EmptySample):
             parse_flow_file(path, SCHEMA)
 
+    def test_oversized_cell_names_file_and_line(self, tmp_path):
+        # csv's default field limit is 131,072 characters
+        path = tmp_path / "a.csv"
+        write_csv(path, ["src", "dst", "f1"], [["a", "b", 1.0], ["a", "b", "9" * 131_073]])
+        with pytest.raises(FlowDataError, match=re.escape(f"{path}: line 3: field larger")):
+            parse_flow_file(path, SCHEMA)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"src,dst,f1\n\xff\xfe,b,1.0\n")
+        with pytest.raises(FlowDataError, match=re.escape(f"{path}: not UTF-8 text")):
+            parse_flow_file(path, SCHEMA)
+
     def test_metadata_roles_excluded_in_header_order(self, tmp_path):
         path = tmp_path / "a.csv"
         schema = ColumnSchema(src_ip="src", dst_ip="dst", src_port="sport",

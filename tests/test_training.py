@@ -123,18 +123,10 @@ class TestValCriterion:
     @pytest.mark.parametrize("variant, criterion", [
         ("clf", "auroc"), ("clf", "neg_loss"), ("oc", "f1"),
     ])
-    def test_mismatch_rejected_before_any_step(self, small_task, monkeypatch,
-                                               variant, criterion):
-        _, graphs, labels = small_task
-        task = "binary" if variant == "clf" else "unsupervised"
-        spec = ProtocolSpec(task=task, variant=variant, quota=10, val_fraction=0.2)
-        config = quick_config(variant=variant, max_epochs=2, val_criterion=criterion)
-        job, _ = make_job(spec, config, make_split(spec, labels, 0), graphs, None, labels)
-        steps = []
-        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+    def test_mismatch_rejected_before_any_step(self, variant, criterion):
+        # the config itself is rejected, so no job is built and no step runs
         with pytest.raises(ValueError, match=f"val_criterion '{criterion}'"):
-            train(job)
-        assert steps == []
+            quick_config(variant=variant, max_epochs=2, val_criterion=criterion)
 
     def test_one_class_validation_rejected_before_any_step(self, monkeypatch):
         dataset = synth_generate(SynthSpec(class_sizes=(95, 5), delta=4.0), seed=3)
