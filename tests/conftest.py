@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from flowgnn import training
+from flowgnn.checkpoint import load_checkpoint
 from flowgnn.graphs import FlowGraph, aggregate_feature_names
 from flowgnn.ingest import FlowRecord, LabelTriple, SampleFlows
 
@@ -150,6 +151,33 @@ def file_digests(paths: dict) -> tuple[dict[str, str], dict[str, str]]:
             {name: value_digest(path) for name, path in paths.items()})
 
 
+def state_digest(path) -> str:
+    """SHA-256 over the name, shape and float64 bytes of every array a
+    checkpoint loads to: parameters, batch-norm statistics, the center and
+    the standardizer's kept columns, mean and std. It changes only when a
+    loaded value does, not when the file spells the value another way."""
+    model, _, standardizer, _ = load_checkpoint(path)
+    arrays = [(p.name, p.data) for p in model.parameters()]
+    for i, bn in enumerate(model.batch_norms()):
+        arrays += [(f"batchnorm{i}.running_mean", bn.running_mean),
+                   (f"batchnorm{i}.running_var", bn.running_var)]
+    if model.center is not None:
+        arrays.append(("center", model.center))
+    if standardizer is not None:
+        arrays += [(f"standardizer.{key}", getattr(standardizer, key))
+                   for key in ("kept_columns", "mean", "std")]
+    h = hashlib.sha256()
+    for name, array in arrays:
+        array = np.asarray(array, dtype="<f8")
+        h.update(name.encode() + b"\0" + repr(array.shape).encode() + array.tobytes())
+    return h.hexdigest()
+
+
+def state_digests(paths: dict) -> dict[str, str]:
+    """State digests of each named checkpoint."""
+    return {name: state_digest(path) for name, path in paths.items()}
+
+
 def print_digests(**dicts) -> None:
     """Print digest dicts as Python source, to paste over the pinned ones."""
     for name, digests in dicts.items():
@@ -209,6 +237,8 @@ __all__ = [
     "permute_graph",
     "print_digests",
     "random_connected_graph",
+    "state_digest",
+    "state_digests",
     "table_columns",
     "text_digest",
     "value_digest",

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from flowgnn.preprocess import standardize_fit
 from flowgnn.serialize import dumps
 from flowgnn.training import TrainConfig
 
-from .conftest import random_connected_graph
+from .conftest import random_connected_graph, state_digest
+
+# An oc checkpoint (one layer, h=3, standardizer dropping a constant column)
+# written by the release that spelled every array as a JSON number list.
+LIST_FORMAT = Path(__file__).parent / "data" / "list_format_checkpoint.json"
+LIST_FORMAT_STATE = "b021313d495a60cd245d53abf9012397b3faeec4cce64cbf0071b574e1d3ad4a"
 
 
 def legacy_text(text: str) -> str:
@@ -85,6 +91,30 @@ class TestCheckpointRoundTrip:
         loaded, _, loaded_std, _ = load_checkpoint(path)
         assert loaded_std is None
         np.testing.assert_array_equal(model.anomaly_scores(x), loaded.anomaly_scores(x))
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 2.2250738585072e-310, 1.7e308, -1.7e308],
+                             ids=["negative-zero", "min-subnormal", "subnormal", "huge", "-huge"])
+    def test_extreme_values_bit_exact(self, tmp_path, rng, value):
+        model = graph_model("oc", seed=4)
+        graphs = [random_connected_graph(rng, d=6, gid=f"g{i}") for i in range(3)]
+        model.init_center(make_batch([prepare_graph(g) for g in graphs]))
+        model.parameters()[0].data[0, 0] = value
+        model.batch_norms()[0].running_mean[1] = value
+        model.center[0, 2] = value
+        standardizer = standardize_fit(rng.normal(size=(10, 6)))
+        standardizer.mean[3] = value
+        config = TrainConfig(variant="oc", num_layers=2, num_hidden=5)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, model, config, standardizer)
+        loaded, _, loaded_std, _ = load_checkpoint(path)
+        assert loaded.parameters()[0].data.tobytes() == model.parameters()[0].data.tobytes()
+        assert loaded.batch_norms()[0].running_mean.tobytes() == \
+            model.batch_norms()[0].running_mean.tobytes()
+        assert loaded.center.tobytes() == model.center.tobytes()
+        assert loaded_std.mean.tobytes() == standardizer.mean.tobytes()
+
+    def test_list_format_checkpoint_loads_to_its_state(self):
+        assert state_digest(LIST_FORMAT) == LIST_FORMAT_STATE
 
     def test_many_random_round_trips(self, tmp_path, rng):
         # checkpoint writing is deterministic and parses back bit-exactly
@@ -160,12 +190,8 @@ class TestSerializer:
     def test_legacy_17_digit_text_loads_the_same(self, tmp_path, rng):
         graphs = [random_connected_graph(rng, d=6, gid=f"g{i}") for i in range(3)]
         graphs[0].edge_features[0, :2] = [1e16, -0.0]
-        model = graph_model("oc", seed=3)
-        model.init_center(make_batch([prepare_graph(g) for g in graphs]))
-        config = TrainConfig(variant="oc", num_layers=2, num_hidden=5)
-        save_checkpoint(tmp_path / "new.json", model, config,
-                        standardize_fit(rng.normal(size=(10, 6))))
         write_graphs_jsonl(graphs, tmp_path / "new.jsonl")
+        (tmp_path / "new.json").write_bytes(LIST_FORMAT.read_bytes())
         for suffix in (".json", ".jsonl"):
             text = (tmp_path / f"new{suffix}").read_text()
             legacy = legacy_text(text)
@@ -176,6 +202,7 @@ class TestSerializer:
             return dumps(checkpoint_dict(*load_checkpoint(path)))
 
         assert reloaded(tmp_path / "old.json") == reloaded(tmp_path / "new.json")
+        assert state_digest(tmp_path / "old.json") == LIST_FORMAT_STATE
 
         def arrays(path):
             return [(g.sample_id, g.edges, g.edge_features.tobytes())

@@ -40,6 +40,11 @@ of file digests, a `*_VALUES` dict holds value digests of the same files
 not when the text that spells it does. They were recorded with the code
 that wrote every float at 17 significant digits, and still hold for the
 shortest round-trip text with which every text digest was re-recorded.
+
+Each suite that writes a checkpoint also pins a `*_STATES` dict of state
+digests (`conftest.state_digest`): the arrays the checkpoint loads to,
+whatever encoding the file holds them in. They were recorded with the code
+that spelled every checkpoint array as a JSON number list.
 """
 
 import csv
@@ -69,7 +74,7 @@ from flowgnn.cli import main
 from flowgnn.serialize import finite_rows
 from flowgnn.training import task_data
 
-from .conftest import file_digests, print_digests
+from .conftest import file_digests, print_digests, state_digests
 
 EXPECTED = {
     "mlp_flow.json": "59ff7474f97e6203db60f61884bab4b150dda0bda35197bbb6973765bdfb761d",
@@ -87,6 +92,10 @@ EXPECTED_VALUES = {
     "mlp_combined.json": "2acce37923b1f1af19178ab60738f45d4e42dc938d9bdd204e0fd830f4d2145c",
     "mlp_combined.csv": "e83626fb93a7f475e70ee6afd52fa234918def433f07623a26bbce36537e4f4e",
     "clf_checkpoint.json": "d2fe247b5a51d2d8b7466179bb1e8497d034822f2d9531a14bd0faa94635735f",
+}
+
+EXPECTED_STATES = {
+    "clf_checkpoint.json": "9135c297d269e8725ac66e3f88248dbe31995380d16f2d008737ecd87bcc85cb",
 }
 
 CLI_EXPECTED = {
@@ -115,6 +124,11 @@ CLI_EXPECTED_VALUES = {
     "mlp_oc/scores.csv": "a951845d519ee4ebfdf4467d0ed5af9cd680b767d74cbf32edf173ebdde86b49",
 }
 
+CLI_EXPECTED_STATES = {
+    "clf/checkpoint.json": "9135c297d269e8725ac66e3f88248dbe31995380d16f2d008737ecd87bcc85cb",
+    "mlp_oc/checkpoint.json": "49408d3e37f7c69444bc85d7a66b2bf340748542f7ef74647ecc3c3f5a44983d",
+}
+
 GRID_EXPECTED = {
     "clf_grid/checkpoint.json": "4f495e6357039a0f42775b21252d6ede45a98f9698a41234b6a3e586211a8814",
     "clf_grid/best_config.json": "f0d3a9634721c6dd69a2a4e8c5ab93693066849fdeee5e6e209356672d3df26a",
@@ -131,6 +145,11 @@ GRID_EXPECTED_VALUES = {
     "mlp_ae_grid/checkpoint.json": "fa37ccef9cf12b7e0dc99774f07b344e20f385c5ada6333ffdeab0ce6acfc833",
     "mlp_ae_grid/best_config.json": "5dcbd4881f672d232e7d4f5b3e86b671d67c6b74ab7ea57485042d8cfeec2530",
     "mlp_ae_grid/gridsearch.json": "58f6dfcd766a4633e71dad5338216a6cb0cc8a31024de79fc8a5dd6a9bcb4d57",
+}
+
+GRID_EXPECTED_STATES = {
+    "clf_grid/checkpoint.json": "eb8866f51699baba4b4c02511b9a640d7a941b606b0a5291f6bb2aac8ba93957",
+    "mlp_ae_grid/checkpoint.json": "5b5bb972a048e8210a8e8779c6006aa9ca1d1c4dc6a093638b4d1e9d77fc919b",
 }
 
 PENALTY_EXPECTED = {
@@ -170,7 +189,7 @@ def _scores_digest(job, model) -> str:
     return hashlib.sha256(scores.tobytes()).hexdigest()
 
 
-def result_digests(root) -> tuple[dict[str, str], dict[str, str]]:
+def result_digests(root) -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
     root = str(root)
     dataset, graphs = _data()
     paths = {}
@@ -191,17 +210,19 @@ def result_digests(root) -> tuple[dict[str, str], dict[str, str]]:
     save_checkpoint(path, fit.model, config, standardizer, {"data": "synth"})
     paths["clf_checkpoint.json"] = path
     out, values = file_digests(paths)
+    states = state_digests({"clf_checkpoint.json": path})
 
     for variant in ("ae", "oc"):
         spec = ProtocolSpec("unsupervised", variant)
         config = TrainConfig(variant=variant, num_hidden=8, max_epochs=4, seed=7)
         job, _, fit = _fit(spec, config, graphs, dataset)
         out[f"{variant}_scores"] = _scores_digest(job, fit.model)
-    return out, values
+    return out, values, states
 
 
 def test_results_byte_identical(tmp_path):
-    out, values = result_digests(tmp_path)
+    out, values, states = result_digests(tmp_path)
+    assert states == EXPECTED_STATES
     assert values == EXPECTED_VALUES
     assert out == EXPECTED
 
@@ -257,9 +278,9 @@ def _write_cli_inputs(runs: dict) -> None:
             json.dump({"data": data, **config}, fp)
 
 
-def cli_digests() -> tuple[dict[str, str], dict[str, str]]:
-    """Text and value digests of the CLI's train, evaluate and score
-    outputs, run in the current directory."""
+def cli_digests() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+    """Text, value and checkpoint state digests of the CLI's train, evaluate
+    and score outputs, run in the current directory."""
     _write_cli_inputs(CLI_RUNS)
     paths = {}
     for name, (data, config) in CLI_RUNS.items():
@@ -271,12 +292,14 @@ def cli_digests() -> tuple[dict[str, str], dict[str, str]]:
         for file in ("checkpoint.json", "history.json", "metrics.json", "metrics.csv",
                      "scores.csv"):
             paths[f"{name}/{file}"] = os.path.join(name, file)
-    return file_digests(paths)
+    return (*file_digests(paths),
+            state_digests({name: paths[name] for name in paths if name.endswith("checkpoint.json")}))
 
 
 def test_cli_outputs_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    out, values = cli_digests()
+    out, values, states = cli_digests()
+    assert states == CLI_EXPECTED_STATES
     assert values == CLI_EXPECTED_VALUES
     assert out == CLI_EXPECTED
 
@@ -296,9 +319,9 @@ GRID_RUNS = {
 }
 
 
-def grid_digests() -> tuple[dict[str, str], dict[str, str]]:
-    """Text and value digests of the CLI's gridsearch outputs, run in the
-    current directory."""
+def grid_digests() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+    """Text, value and checkpoint state digests of the CLI's gridsearch
+    outputs, run in the current directory."""
     _write_cli_inputs({name: run[:2] for name, run in GRID_RUNS.items()})
     paths = {}
     for name, (_, _, flags) in GRID_RUNS.items():
@@ -306,12 +329,14 @@ def grid_digests() -> tuple[dict[str, str], dict[str, str]]:
                      *flags]) == 0
         for file in ("checkpoint.json", "best_config.json", "gridsearch.json"):
             paths[f"{name}/{file}"] = os.path.join(name, file)
-    return file_digests(paths)
+    return (*file_digests(paths),
+            state_digests({name: paths[name] for name in paths if name.endswith("checkpoint.json")}))
 
 
 def test_gridsearch_outputs_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    out, values = grid_digests()
+    out, values, states = grid_digests()
+    assert states == GRID_EXPECTED_STATES
     assert values == GRID_EXPECTED_VALUES
     assert out == GRID_EXPECTED
 
@@ -340,7 +365,8 @@ if __name__ == "__main__":
         os.chdir(os.path.join(tmp, "cli"))
         cli = cli_digests()
         grids = grid_digests()
-    print_digests(EXPECTED=results[0], EXPECTED_VALUES=results[1],
-                  CLI_EXPECTED=cli[0], CLI_EXPECTED_VALUES=cli[1],
+    print_digests(EXPECTED=results[0], EXPECTED_VALUES=results[1], EXPECTED_STATES=results[2],
+                  CLI_EXPECTED=cli[0], CLI_EXPECTED_VALUES=cli[1], CLI_EXPECTED_STATES=cli[2],
                   GRID_EXPECTED=grids[0], GRID_EXPECTED_VALUES=grids[1],
+                  GRID_EXPECTED_STATES=grids[2],
                   PENALTY_EXPECTED=penalties[0], PENALTY_EXPECTED_VALUES=penalties[1])
