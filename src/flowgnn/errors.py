@@ -55,3 +55,7 @@ class NotScalarLoss(NeuralNetError):
 
 class NumericalError(NeuralNetError):
     """A forward operation produced a NaN or infinite entry."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint field is missing, of the wrong type or not decodable."""

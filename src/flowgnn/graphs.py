@@ -457,6 +457,11 @@ def _graph_record(rec, first: FlowGraph | None) -> FlowGraph:
     missing = [key for key in ("id", "nodes", "edges", "feature_names", "x") if key not in rec]
     if missing:
         raise FlowDataError(f"graph {rec.get('id')!r} lacks {', '.join(missing)}")
+    for key, kind, name in (("id", (str, int), "a string or an integer"),
+                            ("nodes", list, "a list"), ("feature_names", list, "a list")):
+        if isinstance(rec[key], bool) or not isinstance(rec[key], kind):
+            raise FlowDataError(f"graph {rec['id']!r}: {key} must be {name}, "
+                                f"not {type(rec[key]).__name__}")
     raw = rec.get("labels")
     try:
         if raw is not None and not isinstance(raw, dict):

@@ -112,6 +112,9 @@ class BatchNorm:
         }
 
     def load_state(self, state: dict) -> None:
+        if (state["beta"] is None) != (self.beta is None):
+            raise ShapeMismatch("batch norm beta is " + ("missing" if self.beta is not None
+                                                         else "stored, but the norm has none"))
         for key, value in state.items():
             if value is not None and np.size(value) != self.width:
                 raise ShapeMismatch(f"batch norm {key} has {np.size(value)} entries, "

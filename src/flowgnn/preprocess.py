@@ -21,18 +21,28 @@ def constant_column_mask(fit_rows: np.ndarray, tol: float = CONSTANT_TOL) -> np.
 
 @dataclass(frozen=True, eq=False)
 class Standardizer:
-    """Column selection plus affine map fit on training rows."""
+    """Column selection plus affine map fit on training rows.
+
+    num_columns is the width of the fit rows; None for a standardizer
+    restored from a checkpoint that did not record it, which can only tell
+    that rows reach its last kept column."""
 
     kept_columns: np.ndarray
     mean: np.ndarray
     std: np.ndarray
+    num_columns: int | None = None
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
-        if self.kept_columns.size and rows.shape[1] <= self.kept_columns[-1]:
+        width = rows.shape[1]
+        if self.kept_columns.size and width <= self.kept_columns[-1]:
             raise InconsistentDimension(
-                f"feature rows have {rows.shape[1]} columns, but the standardizer was fit on "
+                f"feature rows have {width} columns, but the standardizer was fit on "
                 f"at least {self.kept_columns[-1] + 1}")
+        if self.num_columns is not None and width != self.num_columns:
+            raise InconsistentDimension(
+                f"feature rows have {width} columns, but the standardizer was fit on "
+                f"{self.num_columns}")
         return (rows[:, self.kept_columns] - self.mean) / self.std
 
     def to_dict(self) -> dict:
@@ -40,6 +50,7 @@ class Standardizer:
             "kept_columns": self.kept_columns,
             "mean": self.mean,
             "std": self.std,
+            "num_columns": self.num_columns,
         }
 
     @classmethod
@@ -48,6 +59,7 @@ class Standardizer:
             kept_columns=np.asarray(raw["kept_columns"], dtype=np.intp),
             mean=np.asarray(raw["mean"], dtype=np.float64),
             std=np.asarray(raw["std"], dtype=np.float64),
+            num_columns=raw.get("num_columns"),
         )
 
 
@@ -60,5 +72,5 @@ def standardize_fit(train_rows: np.ndarray, tol: float = CONSTANT_TOL) -> Standa
     std = reduced.std(axis=0)
     if np.any(std <= 0.0):
         raise ValueError("a kept column has zero spread; lower the tolerance")
-    return Standardizer(kept_columns=kept, mean=mean, std=std)
+    return Standardizer(kept_columns=kept, mean=mean, std=std, num_columns=rows.shape[1])
 

@@ -1,3 +1,4 @@
+import base64
 import re
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from flowgnn import serialize
 from flowgnn.checkpoint import checkpoint_dict, load_checkpoint, save_checkpoint
+from flowgnn.cli import main
 from flowgnn.errors import ShapeMismatch
 from flowgnn.graphs import read_graphs_jsonl, write_graphs_jsonl
 from flowgnn.mlp import DenseNetwork
@@ -131,9 +133,14 @@ class TestCheckpointRoundTrip:
             assert path.read_bytes() == save_again.read_bytes()
 
 
+def shortened(stored: str, stop: int) -> str:
+    """A stored array cut to its first stop values, encoded again."""
+    return serialize.encode_floats(serialize.decode_floats(stored)[:stop])
+
+
 def shrink_hidden_bias(raw):
     entry = next(p for p in raw["params"] if p["name"] == "hidden1.b")
-    entry["shape"], entry["values"] = [1, 1], entry["values"][:1]
+    entry["shape"], entry["values"] = [1, 1], shortened(entry["values"], 1)
 
 
 class TestMismatchedCheckpoint:
@@ -147,7 +154,7 @@ class TestMismatchedCheckpoint:
 
     @pytest.mark.parametrize("variant, edit, message", [
         ("mlp", shrink_hidden_bias, "hidden1.b"),
-        ("mlp_oc", lambda raw: raw.update(oc_center=raw["oc_center"][:1]), "center"),
+        ("mlp_oc", lambda raw: raw.update(oc_center=shortened(raw["oc_center"], 1)), "center"),
     ], ids=["bias", "center"])
     def test_dense_shapes(self, tmp_path, variant, edit, message):
         model = DenseNetwork(variant, in_dim=7, num_hidden=4, num_layers=2,
@@ -163,7 +170,8 @@ class TestMismatchedCheckpoint:
         config = TrainConfig(variant="ae", num_layers=2, num_hidden=5)
 
         def drop_last(raw):
-            next(p for p in raw["params"] if p["name"] == "f2.W")["values"].pop()
+            entry = next(p for p in raw["params"] if p["name"] == "f2.W")
+            entry["values"] = shortened(entry["values"], -1)
 
         path = self.edited(tmp_path, graph_model("ae"), config, drop_last)
         with pytest.raises(ShapeMismatch, match=r"parameter f2\.W stores 49 values, not the 50"):
@@ -178,6 +186,65 @@ class TestMismatchedCheckpoint:
         path = self.edited(tmp_path, graph_model("clf"), config, edit)
         with pytest.raises(ShapeMismatch, match=message):
             load_checkpoint(path)
+
+    def test_graph_batchnorm_beta_missing(self, tmp_path):
+        config = TrainConfig(variant="clf", num_layers=2, num_hidden=5)
+        path = self.edited(tmp_path, graph_model("clf"), config,
+                           lambda raw: raw["batchnorm"][0].update(beta=None))
+        with pytest.raises(ShapeMismatch, match="batch norm beta is missing"):
+            load_checkpoint(path)
+
+
+def set_param(raw, index, values):
+    raw["params"][index]["values"] = values
+
+
+def with_null_weight(raw):
+    values = serialize.decode_floats(raw["params"][0]["values"]).tolist()
+    set_param(raw, 0, [None] + values[1:])
+
+
+def with_nan_weight(raw):
+    values = serialize.decode_floats(raw["params"][0]["values"])
+    values[0] = np.nan
+    set_param(raw, 0, base64.b64encode(values.tobytes()).decode())
+
+
+def short_mean(raw):
+    raw["preprocess"]["mean"] = shortened(raw["preprocess"]["mean"], -1)
+
+
+class TestCheckpointFileChecked:
+    """Each malformed oc checkpoint fails `flowgnn score` with exit 1 and one
+    line naming the file and the field, before any data is read."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.update(params=5), "params must be an array, not an integer"),
+        (with_null_weight, "params[0].values is neither base64 text nor a list of numbers"),
+        (lambda raw: raw.pop("config"), "lacks config"),
+        (short_mean, "preprocess.mean has 5 values, not one per kept column (6)"),
+        (lambda raw: set_param(raw, 1, "not*base64"), "params[1].values is not base64 text"),
+        (lambda raw: set_param(raw, 1, base64.b64encode(bytes(12)).decode()),
+         "params[1].values decodes to 12 bytes, not a multiple of 8"),
+        (lambda raw: set_param(raw, 0, shortened(raw["params"][0]["values"], 29)),
+         "parameter f1.W stores 29 values, not the 30 of shape (6, 5)"),
+        (with_nan_weight, "params[0].values holds a non-finite value"),
+    ], ids=["params_number", "null_weight", "no_config", "short_mean", "bad_base64",
+            "partial_value", "value_count", "nan_weight"])
+    def test_score_exits_1_naming_file_and_field(self, tmp_path, rng, capsys, edit, message):
+        model = graph_model("oc")
+        model.init_center(make_batch([prepare_graph(random_connected_graph(rng, d=6, gid=f"g{i}"))
+                                      for i in range(3)]))
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, model, TrainConfig(variant="oc", num_layers=2, num_hidden=5),
+                        standardize_fit(rng.normal(size=(10, 6))))
+        raw = serialize.load_path(path)
+        edit(raw)
+        serialize.dump_path(raw, path)
+        assert main(["score", "--checkpoint", str(path), "--data", "unread.jsonl"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert f"{path}: {message}" in err[0]
 
 
 class TestSerializer:

@@ -463,3 +463,26 @@ def test_score_narrower_extract_exit_1(workspace, tmp_path, capsys):
         assert len(err) == 1 and "InconsistentDimension: feature rows have 20 columns" in err[0]
         assert "fit on at least" in err[0], err
     assert not (tmp_path / "score").exists()
+
+
+def test_score_wider_extract_exit_1(workspace, tmp_path, capsys):
+    """A checkpoint scores an extract with more feature columns than it was fit on."""
+    root, _, out_dir = workspace
+    config = train_config(root, out_dir, variant="ae", task="unsupervised", max_epochs=2)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "ae")]) == 0
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"class_sizes": [10, 10], "num_features": 8, "max_nodes": 5}))
+    assert main(["synth", "--config", str(spec), "--out", str(tmp_path / "wide")]) == 0
+    assert main(["extract", "--manifest", str(tmp_path / "wide" / "manifest.json"),
+                 "--out", str(tmp_path / "wide")]) == 0
+    capsys.readouterr()
+    checkpoint = str(tmp_path / "ae" / "checkpoint.json")
+    data = str(tmp_path / "wide" / "graphs.jsonl")
+    for command in ("score", "evaluate"):
+        assert main([command, "--checkpoint", checkpoint, "--data", data,
+                     "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert "InconsistentDimension: feature rows have 45 columns, but the standardizer " \
+               "was fit on 35" in err[0], err
+    assert not (tmp_path / "score").exists()

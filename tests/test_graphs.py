@@ -597,6 +597,19 @@ class TestGraphJsonl:
         with pytest.raises(FlowDataError, match=re.escape(f"{path}: line 2: {message}")):
             read_graphs_jsonl(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("nodes", 3, "graph 'bad': nodes must be a list, not int"),
+        ("feature_names", 4, "graph 'bad': feature_names must be a list, not int"),
+        ("id", ["bad"], "graph ['bad']: id must be a string or an integer, not list"),
+    ], ids=["nodes_number", "feature_names_number", "id_list"])
+    def test_field_type_named_by_file_and_line(self, tmp_path, key, value, message):
+        path = tmp_path / "graphs.jsonl"
+        write_graphs_jsonl([make_graph([(0, 1)], gid=gid) for gid in ("a", "bad")], path)
+        first, second = path.read_text().splitlines()
+        path.write_text(f"{first}\n{json.dumps({**json.loads(second), key: value})}\n")
+        with pytest.raises(FlowDataError, match=re.escape(f"{path}: line 2: {message}")):
+            read_graphs_jsonl(path)
+
     def test_repeated_id_rejected(self, tmp_path):
         path = tmp_path / "graphs.jsonl"
         write_graphs_jsonl([make_graph([(0, 1)], gid=gid) for gid in ("a", "b")], path)

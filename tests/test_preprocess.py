@@ -73,3 +73,21 @@ def test_narrower_rows_rejected_with_both_widths():
     assert standardizer(np.zeros((2, 4))).shape == (2, 3)
     with pytest.raises(InconsistentDimension, match="rows have 3 columns.*at least 4"):
         standardizer(np.zeros((2, 3)))
+
+
+def test_other_width_rejected_with_both_widths():
+    standardizer = standardize_fit(np.array([[0.0, 1.0, 2.0, 5.0], [1.0, 1.0, 4.0, 7.0]]))
+    assert standardizer.num_columns == standardizer.to_dict()["num_columns"] == 4
+    with pytest.raises(InconsistentDimension, match="rows have 5 columns.*fit on 4$"):
+        standardizer(np.zeros((2, 5)))
+
+
+def test_standardizer_without_recorded_width_checks_only_narrower_rows():
+    # as restored from a checkpoint written before the fit width was recorded
+    fitted = standardize_fit(np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 4.0]]))
+    legacy = Standardizer.from_dict({k: v for k, v in fitted.to_dict().items()
+                                     if k != "num_columns"})
+    assert legacy.num_columns is None
+    assert np.array_equal(legacy(np.ones((2, 5))), fitted(np.ones((2, 3))))
+    with pytest.raises(InconsistentDimension, match="at least 3"):
+        legacy(np.ones((2, 2)))

@@ -81,7 +81,7 @@ EXPECTED = {
     "mlp_flow.csv": "8f481493f323b1140dbbf6a682168a0232f4abe668c6f261892c972b0f2a29d6",
     "mlp_combined.json": "6e658e009818ab256885a28edd442b808e1e1cc928c1a94eb57048d2c94ad772",
     "mlp_combined.csv": "886dfd8873ad36546330374b5a282fb1df5c600c00a42c98b0ef0bd3ce7e67a4",
-    "clf_checkpoint.json": "45f70d84e4d8502073e4e56df06c1bc16225e640db8db6f812061a23ae54e60d",
+    "clf_checkpoint.json": "1ab0b71fc6f81c38b4a4cfbb4cef082b01abf55a24f0be01e1225c8a2df99edb",
     "ae_scores": "efc125766f12a58bf07b63eed6f2d325fe9d56df105117cd1667075afbf00e58",
     "oc_scores": "f8cd63ff2cbf312e4b9d54ec373f9fbb1a837da5d1af97019ba388f65d10ad11",
 }
@@ -91,7 +91,7 @@ EXPECTED_VALUES = {
     "mlp_flow.csv": "cc785710a750475118a356e0c904d4cb21ad97bbb9eb52f566a5768a716fc97a",
     "mlp_combined.json": "2acce37923b1f1af19178ab60738f45d4e42dc938d9bdd204e0fd830f4d2145c",
     "mlp_combined.csv": "e83626fb93a7f475e70ee6afd52fa234918def433f07623a26bbce36537e4f4e",
-    "clf_checkpoint.json": "d2fe247b5a51d2d8b7466179bb1e8497d034822f2d9531a14bd0faa94635735f",
+    "clf_checkpoint.json": "3a7f3288fafb3e5bedb64aed393e6f120361d223092acc77aa8584785961c1be",
 }
 
 EXPECTED_STATES = {
@@ -99,12 +99,12 @@ EXPECTED_STATES = {
 }
 
 CLI_EXPECTED = {
-    "clf/checkpoint.json": "29dc77a2fde1caaf7980855c6bded96f2b8e662fb64342f865b8bef004e9b0ba",
+    "clf/checkpoint.json": "0bae9822bd5d9623c798842badbc97a972f8d5ccd905818f482f49571cc4d48c",
     "clf/history.json": "f7f69d73612713b04647415478dd0a101a38fbf77ba64fc696361dba3b243632",
     "clf/metrics.json": "b9c2a7c3c4a24dc343a2f9d3449e9c7f5145b3de068a38ae9c2416a977ef9229",
     "clf/metrics.csv": "7abcac44a206e0aeebebe40cefabd0abfe755843f80578f8544a1c0a11129202",
     "clf/scores.csv": "630dc4c2ea3f6a91624e449fbbf930a98720d85277b027e0f9d01873476a7f63",
-    "mlp_oc/checkpoint.json": "3fd037510035e7f14750e4c0fc5e4ee5f958b52a5371b75efa9cc2c9afdd7bad",
+    "mlp_oc/checkpoint.json": "d7298cd7575e6b8d781f10d2749520a2f3c024a6e3ec9997e44af63a27530f76",
     "mlp_oc/history.json": "005dc9e12e1d232ef56d5770063ab0accdc89ee860319930413f87017e135a1c",
     "mlp_oc/metrics.json": "83b2c8a50a72610784566ba29998632118e7ea2e6ef94aea3cdb9b7016629f91",
     "mlp_oc/metrics.csv": "a4ba889a4df20f705f6257d72ec9fb0d5c06d0156c27df75e8dde0eea81a2889",
@@ -112,12 +112,12 @@ CLI_EXPECTED = {
 }
 
 CLI_EXPECTED_VALUES = {
-    "clf/checkpoint.json": "55e019b12b4afd99aff5bea2725f2ec82f1dca69a28501adef7834e8d0b51467",
+    "clf/checkpoint.json": "5b30bc75689063cbf1a69f7b9893bc8bb29557f2214bf4c246a2a2d31dbd6911",
     "clf/history.json": "5db87775406487ede4029afe758b3b518bad09fabc1d26dd3b61df9a71518366",
     "clf/metrics.json": "491c4d0fdf54dfa14c9cda969ed9fd5f708d1018fb382b642720c369c39abeef",
     "clf/metrics.csv": "0d94410570bcb72e0259665e6e9d3a2da1dd2e41dcda540b11dde895a5c6002f",
     "clf/scores.csv": "1558c33c440dc537f26ef002eb1b06063062a80457c1918e41c92bdc4677d0ef",
-    "mlp_oc/checkpoint.json": "89da06a270fa93ce50a200d3d6e1f2887f8d9ed6c3711a4e931e0865f4228394",
+    "mlp_oc/checkpoint.json": "f4c8ef10caf12c346f9021448f9ab7e6ebd864ed233453db69574e7f07b50958",
     "mlp_oc/history.json": "4d1f9e065700fe3fc37d1ba57ecaf9a401cddad725a62364da1a739603e37087",
     "mlp_oc/metrics.json": "bac5d671a972e9a2cf4f4c89b66acb2be9ef66e3a7d33d70eb30a1a72ce1b9d7",
     "mlp_oc/metrics.csv": "8602f5a2a8fa32531fd6101e198dae3e37139af5ecc5f3af6349eeb19e2c3cc4",
@@ -130,19 +130,19 @@ CLI_EXPECTED_STATES = {
 }
 
 GRID_EXPECTED = {
-    "clf_grid/checkpoint.json": "4f495e6357039a0f42775b21252d6ede45a98f9698a41234b6a3e586211a8814",
+    "clf_grid/checkpoint.json": "01a76eb2ba54cc5c1c267e730027fe1a32d802b0c4c7ad5ca1b5783ca51e65d1",
     "clf_grid/best_config.json": "f0d3a9634721c6dd69a2a4e8c5ab93693066849fdeee5e6e209356672d3df26a",
     "clf_grid/gridsearch.json": "1fbb477bc9b9e56bf7628fbf73c85b06189b75d18f43829de6f57a6ae2f016d1",
-    "mlp_ae_grid/checkpoint.json": "36a8c2ede5ef92ae03233e496c49b939cfbb0a137de0fb1bc7f0465d58ed0f6e",
+    "mlp_ae_grid/checkpoint.json": "6dbf882367d43fc22e3cc5499b85c5e252ea06e01448d8b147b322f847a85b54",
     "mlp_ae_grid/best_config.json": "a1a78fa30d1198ba5220927c290ca70ae669ab4e018551148b6124167d309e78",
     "mlp_ae_grid/gridsearch.json": "df92badbf63a89ce8bd68186ba685edb6ca33d396f982d07ea4d11e7c2bfe2c8",
 }
 
 GRID_EXPECTED_VALUES = {
-    "clf_grid/checkpoint.json": "3d18582dae965ec6db80db0433896000358654652c047595b6d83278a10ff35a",
+    "clf_grid/checkpoint.json": "f0fa63f0e190112f76f7d93b50beac421559707730362470d278367415c7a464",
     "clf_grid/best_config.json": "9f5832dad6630307c76cca8c4c22eaacb10568a09e54e6b061e0cb18b0a176e3",
     "clf_grid/gridsearch.json": "70651f998e5d8bd4cee5a10690d9629bfa70c8efec93bacbf57962e85282e1f3",
-    "mlp_ae_grid/checkpoint.json": "fa37ccef9cf12b7e0dc99774f07b344e20f385c5ada6333ffdeab0ce6acfc833",
+    "mlp_ae_grid/checkpoint.json": "9253f8386b3b595fdc45f048b02f9a2680511301b37f495a30c2f09bd3983f3b",
     "mlp_ae_grid/best_config.json": "5dcbd4881f672d232e7d4f5b3e86b671d67c6b74ab7ea57485042d8cfeec2530",
     "mlp_ae_grid/gridsearch.json": "58f6dfcd766a4633e71dad5338216a6cb0cc8a31024de79fc8a5dd6a9bcb4d57",
 }
