@@ -22,30 +22,32 @@ from .preprocess import Standardizer
 from .training import TrainConfig, build_model
 
 # the keys that hold a float array, in whichever record they appear
-FLOAT_FIELDS = frozenset({"values", "gamma", "beta", "running_mean", "running_var",
-                          "oc_center", "mean", "std"})
+_FLOAT_FIELDS = frozenset({"values", "gamma", "beta", "running_mean", "running_var",
+                           "oc_center", "mean", "std"})
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number", bool: "a boolean", type(None): "null"}
 
 
-def _encoded(record: dict) -> dict:
-    return {key: serialize.encode_floats(value) if key in FLOAT_FIELDS and value is not None
-            else value for key, value in record.items()}
+def _encoded(state):
+    """A state dict, or a list of them, with each float array as base64 text."""
+    if isinstance(state, list):
+        return [_encoded(item) for item in state]
+    if not isinstance(state, dict):
+        return state
+    return {key: serialize.encode_floats(value) if key in _FLOAT_FIELDS and value is not None
+            else _encoded(value) for key, value in state.items()}
 
 
 def checkpoint_dict(model, config: TrainConfig, standardizer: Standardizer | None = None,
                     run_info: dict | None = None) -> dict:
-    state = model.state()
     return {
         "variant": config.variant,
         "pool": config.pool,
         "num_layers": config.num_layers,
         "config": config.to_dict(),
         "model": {"in_dim": model.in_dim, "num_classes": model.num_classes},
-        "params": [_encoded(entry) for entry in state["params"]],
-        "batchnorm": [_encoded(entry) for entry in state["batchnorm"]],
-        **_encoded({"oc_center": state["oc_center"]}),
+        **_encoded(model.state()),  # params, batchnorm and oc_center
         "preprocess": None if standardizer is None else _encoded(standardizer.to_dict()),
         "run_info": run_info or {},
     }
