@@ -92,8 +92,7 @@ def _restore(raw):
         where = f"params[{i}]"
         entry = _typed(entry, dict, where)
         params.append({"name": _get(entry, "name", str, f"{where}.name"),
-                       "shape": _ints(_get(entry, "shape", list, f"{where}.shape"),
-                                      f"{where}.shape"),
+                       "shape": _get(entry, "shape", list, f"{where}.shape"),
                        "values": _get(entry, "values", np.ndarray, f"{where}.values")})
     norms = []
     for i, entry in enumerate(_get(raw, "batchnorm", list, "batchnorm")):

@@ -229,8 +229,15 @@ class TestCheckpointFileChecked:
         (lambda raw: set_param(raw, 0, shortened(raw["params"][0]["values"], 29)),
          "parameter f1.W stores 29 values, not the 30 of shape (6, 5)"),
         (with_nan_weight, "params[0].values holds a non-finite value"),
+        (lambda raw: raw["preprocess"].update(kept_columns=[0, 2, 1, 3, 4, 5]),
+         "preprocess.kept_columns must rise from column 0 up"),
+        (lambda raw: raw["preprocess"].update(num_columns=5),
+         "preprocess.kept_columns reaches column 5, but preprocess.num_columns is 5"),
+        (lambda raw: raw["preprocess"].update(std=serialize.encode_floats(np.zeros(6))),
+         "preprocess.std holds a value that is not above 0"),
     ], ids=["params_number", "null_weight", "no_config", "short_mean", "bad_base64",
-            "partial_value", "value_count", "nan_weight"])
+            "partial_value", "value_count", "nan_weight", "unsorted_columns",
+            "columns_past_width", "zero_std"])
     def test_score_exits_1_naming_file_and_field(self, tmp_path, rng, capsys, edit, message):
         model = graph_model("oc")
         model.init_center(make_batch([prepare_graph(random_connected_graph(rng, d=6, gid=f"g{i}"))
@@ -247,12 +254,28 @@ class TestCheckpointFileChecked:
         assert f"{path}: {message}" in err[0]
 
 
+    def test_not_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "ck.json"
+        path.write_text('{"config": ')
+        assert main(["score", "--checkpoint", str(path), "--data", "unread.jsonl"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"CheckpointError: {path}: not JSON" in err[0], err
+
+
 class TestSerializer:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps({"x": float("nan")})
         with pytest.raises(ValueError):
             dumps([float("inf")])
+
+    def test_float_arrays_as_base64_bytes(self):
+        values = np.array([[1.5, -0.0], [5e-324, -1.7e308]])
+        text = serialize.encode_floats(values)
+        assert base64.b64decode(text) == values.astype("<f8").tobytes()
+        assert serialize.decode_floats(text).tobytes() == values.tobytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.encode_floats([1.0, np.inf])
 
     def test_legacy_17_digit_text_loads_the_same(self, tmp_path, rng):
         graphs = [random_connected_graph(rng, d=6, gid=f"g{i}") for i in range(3)]
