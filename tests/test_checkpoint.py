@@ -253,7 +253,6 @@ class TestCheckpointFileChecked:
         assert len(err) == 1, err
         assert f"{path}: {message}" in err[0]
 
-
     def test_not_json_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "ck.json"
         path.write_text('{"config": ')
