@@ -235,6 +235,7 @@ def cmd_train(args, gridsearch: bool = False) -> int:
                 "best_epoch": fit.best_epoch,
                 "best_val": fit.best_val,
                 "stopped_epoch": fit.stopped_epoch,
+                "stop_reason": fit.stop_reason,
                 "epochs": [rec.to_dict() for rec in fit.history],
             },
             os.path.join(out_dir, "history.json"),

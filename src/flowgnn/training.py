@@ -172,6 +172,7 @@ class FitResult:
     best_epoch: int
     best_val: float
     stopped_epoch: int
+    stop_reason: str  # "saturated", "patience" or "max_epochs"
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +233,24 @@ def _val_criterion(job: TrainJob, model) -> Callable[[], float]:
     return score
 
 
+def _val_ceiling(job: TrainJob, model) -> float:
+    """The validation score of a perfect prediction, which no epoch can
+    beat: 1.0 for AUROC, and for weighted F1 the validation labels scored
+    against themselves (a sum of support shares that may round off 1.0)."""
+    if model.role != "clf":
+        return 1.0
+    val = job.y[list(job.split.val)]
+    return weighted_f1(val, val)
+
+
 def train(job: TrainJob) -> FitResult:
     """Train with early stopping; returns the best-epoch model.
 
-    The validation criterion is recomputed after every epoch; training
-    stops after `patience` consecutive epochs without strict improvement
-    or at `max_epochs`.
+    The validation criterion is recomputed after every epoch, and a model
+    is kept only on strict improvement. Training stops at the first of:
+    the best score reaching the criterion's ceiling ("saturated"),
+    `patience` consecutive epochs without improvement ("patience"), or
+    `max_epochs` ("max_epochs").
     """
     config = job.config
     rng = np.random.default_rng(config.seed)
@@ -249,6 +262,7 @@ def train(job: TrainJob) -> FitResult:
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     val_score = _val_criterion(job, model)
+    ceiling = _val_ceiling(job, model)
 
     best_val = -np.inf
     best_state = model.state()
@@ -256,6 +270,7 @@ def train(job: TrainJob) -> FitResult:
     bad_epochs = 0
     history: list[EpochRecord] = []
     epoch = 0
+    stop_reason = "max_epochs"
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(train_idx)
         losses = []
@@ -279,10 +294,14 @@ def train(job: TrainJob) -> FitResult:
             bad_epochs = 0
         else:
             bad_epochs += 1
+        if best_val >= ceiling:
+            stop_reason = "saturated"
+            break
         if bad_epochs >= config.patience:
+            stop_reason = "patience"
             break
     model.load_state(best_state)
-    return FitResult(model, config, history, best_epoch, float(best_val), epoch)
+    return FitResult(model, config, history, best_epoch, float(best_val), epoch, stop_reason)
 
 
 def evaluate_metrics(job: TrainJob, model, indices=None) -> dict:

@@ -128,6 +128,18 @@ class TestTrain:
         assert history["best_epoch"] >= 1
         assert len(history["epochs"]) == history["stopped_epoch"]
 
+    @pytest.mark.parametrize("variant, task, max_epochs, reason", [
+        ("clf", "binary", 15, "saturated"), ("ae", "unsupervised", 2, "max_epochs"),
+    ])
+    def test_history_records_why_training_stopped(self, workspace, tmp_path, variant, task,
+                                                  max_epochs, reason):
+        root, _, out_dir = workspace
+        config = train_config(root, out_dir, variant=variant, task=task, max_epochs=max_epochs)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
+        history = serialize.load_path(tmp_path / "history.json")
+        assert history["stop_reason"] == reason
+        assert len(history["epochs"]) == history["stopped_epoch"]
+
     def test_set_override(self, workspace, tmp_path):
         root, _, out_dir = workspace
         config = train_config(root, out_dir)
@@ -402,6 +414,43 @@ class TestStrayLabels:
         assert "graph 's00000': labels must be an object, not list" in err
         assert "Traceback" not in err
 
+
+
+def _set(key, value):
+    return lambda manifest: manifest.update({key: value})
+
+
+def _set_in_first_sample(key, value):
+    return lambda manifest: manifest["samples"][0].update({key: value})
+
+
+class TestBadManifest:
+    """A manifest field of the wrong type fails where load_dataset reads it,
+    in one line naming the manifest and the field."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_set("samples", [1, 2]), "samples[0] must be an object, not int"),
+        (_set("samples", {"s0": {}}), "samples must be an array, not dict"),
+        (_set_in_first_sample("file", 5), "samples[0].file must be a string, not 5"),
+        (_set_in_first_sample("id", ["s0"]),
+         "samples[0].id must be a string or an integer, not list"),
+        (_set("schema", "src_ip"), "schema must be an object, not 'src_ip'"),
+        (_set("classes", ["benign"]), "classes must be an object, not list"),
+        (lambda manifest: [manifest], "a manifest is a JSON object, not list"),
+    ], ids=["samples_numbers", "samples_object", "file_number", "id_list", "schema_string",
+            "classes_list", "top_level_array"])
+    def test_extract_exit_1(self, workspace, tmp_path, capsys, edit, message):
+        _, data_dir, _ = workspace
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        edited = edit(manifest)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest if edited is None else edited))
+        capsys.readouterr()
+        assert main(["extract", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in err, err
+        assert f"FlowDataError: {path}: {message}" in lines[0], lines[0]
 
 def test_narrow_feature_rows_train_exit_1(workspace, tmp_path, capsys):
     root, _, out_dir = workspace

@@ -329,6 +329,33 @@ class TestLoadDataset:
                                                 f"not {re.escape(repr(strict))}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"min_family_count": "9"}, "min_family_count must be an integer, not '9'"),
+        ({"schema": {"dst_ip": "dst"}}, "schema.src_ip is missing"),
+        ({"schema": {"src_ip": "src", "dst_ip": "dst", "features": "f1"}},
+         "schema.features must be an array of strings, not 'f1'"),
+        ({"schema": {"src_ip": "src", "dst_ip": "dst", "label": [1]}},
+         "schema.label must be a string or an array of strings, not list"),
+        ({"classes": {"binary": "benign"}}, "classes.binary must be an array of strings, "
+                                            "not 'benign'"),
+        ({"samples": [{"file": "a.csv"}]}, "samples[0].id is missing"),
+        ({"samples": [{"id": True, "file": "a.csv"}]},
+         "samples[0].id must be a string or an integer, not True"),
+    ], ids=["count_string", "no_src_ip", "features_string", "label_numbers",
+            "classes_string", "no_id", "id_bool"])
+    def test_manifest_field_named(self, tmp_path, extra, message):
+        write_csv(tmp_path / "a.csv", ["src", "dst", "f1"], [["a", "b", 1.0]])
+        extra = {"samples": [{"id": "a", "file": "a.csv"}], **extra}
+        path = write_manifest(tmp_path, **extra)
+        with pytest.raises(FlowDataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_dataset(path)
+
+    def test_manifest_without_samples_named(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"schema": {"src_ip": "src", "dst_ip": "dst"}}))
+        with pytest.raises(FlowDataError, match="manifest.json: samples is missing$"):
+            load_dataset(path)
+
     def test_deterministic_reload(self, tmp_path):
         write_csv(tmp_path / "a.csv", ["src", "dst", "f1"],
                   [["a", "b", 0.12345678901234567]])

@@ -156,6 +156,32 @@ class TestAuroc:
         )
 
 
+class TestCeilings:
+    """No prediction scores above a perfect one in float64, which lets
+    train stop once its best validation score equals the perfect score."""
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_weighted_f1_at_most_the_perfect_score(self, pairs):
+        true, pred = zip(*pairs)
+        assert weighted_f1(true, pred) <= weighted_f1(true, true)
+
+    @pytest.mark.parametrize("supports, perfect", [
+        ((6, 6), 1.0), ((4, 6, 2), 0.9999999999999999), ((3, 5, 1, 1, 2), 1.0000000000000002),
+    ])
+    def test_perfect_weighted_f1_may_round_off_one(self, supports, perfect):
+        true = np.repeat(np.arange(len(supports)), supports)
+        assert weighted_f1(true, true) == perfect
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, width=64), st.integers(0, 1)),
+                    min_size=2, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_auroc_at_most_one(self, pairs):
+        scores, labels = zip(*pairs)
+        assume(0 < sum(labels) < len(labels))
+        assert auroc(scores, labels) <= 1.0
+
+
 class TestMetricReport:
     def test_single_run_std_zero(self):
         report = MetricReport("binary", "clf", "weighted_f1", [0.9])

@@ -283,6 +283,21 @@ class TestHeads:
         assert oc.anomaly_scores(batch)[0] == pytest.approx(0.0, abs=1e-15)
 
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_ae_score_is_each_graphs_mean_squared_error_over_edges(self, rng, layers):
+        graphs = [random_connected_graph(rng, n_nodes=n, gid=f"g{n}", min_edges=n)
+                  for n in (3, 5, 8)]
+        prepared = [prepare_graph(g) for g in graphs]
+        assert len({len(p.x) for p in prepared}) == 3  # edge counts differ
+        model = build("ae", layers=layers)
+        expected = []
+        for p in prepared:  # one graph per forward pass, its error summed by hand
+            alone = make_batch([p])
+            x_hat = model.decode(alone, model.encode(alone)).data
+            expected.append(((p.x - x_hat) ** 2).sum() / len(p.x))
+        np.testing.assert_allclose(model.anomaly_scores(make_batch(prepared)), expected,
+                                   rtol=1e-9)
+
 def _ae_loss_with_reconstruction(model, batch, x_hat):
     """ae_loss value given a forced reconstruction matrix."""
     per_graph = []

@@ -100,12 +100,12 @@ EXPECTED_STATES = {
 
 CLI_EXPECTED = {
     "clf/checkpoint.json": "0bae9822bd5d9623c798842badbc97a972f8d5ccd905818f482f49571cc4d48c",
-    "clf/history.json": "f7f69d73612713b04647415478dd0a101a38fbf77ba64fc696361dba3b243632",
+    "clf/history.json": "c8396498e9a97581d3b010c4be6060e8f9c8147ee8047014092dd61a708ec23d",
     "clf/metrics.json": "b9c2a7c3c4a24dc343a2f9d3449e9c7f5145b3de068a38ae9c2416a977ef9229",
     "clf/metrics.csv": "7abcac44a206e0aeebebe40cefabd0abfe755843f80578f8544a1c0a11129202",
     "clf/scores.csv": "630dc4c2ea3f6a91624e449fbbf930a98720d85277b027e0f9d01873476a7f63",
     "mlp_oc/checkpoint.json": "d7298cd7575e6b8d781f10d2749520a2f3c024a6e3ec9997e44af63a27530f76",
-    "mlp_oc/history.json": "005dc9e12e1d232ef56d5770063ab0accdc89ee860319930413f87017e135a1c",
+    "mlp_oc/history.json": "ba0795a350262aa773e5298dcd0fb453b92a05b231d962249b6d2b0f14f72f03",
     "mlp_oc/metrics.json": "83b2c8a50a72610784566ba29998632118e7ea2e6ef94aea3cdb9b7016629f91",
     "mlp_oc/metrics.csv": "a4ba889a4df20f705f6257d72ec9fb0d5c06d0156c27df75e8dde0eea81a2889",
     "mlp_oc/scores.csv": "8ee5e901b9cb2d985278dda41a00a6e60546cfdb007e2c505ab3d734327f40b6",
@@ -113,12 +113,12 @@ CLI_EXPECTED = {
 
 CLI_EXPECTED_VALUES = {
     "clf/checkpoint.json": "5b30bc75689063cbf1a69f7b9893bc8bb29557f2214bf4c246a2a2d31dbd6911",
-    "clf/history.json": "5db87775406487ede4029afe758b3b518bad09fabc1d26dd3b61df9a71518366",
+    "clf/history.json": "764b3216cec870522976c242a579b776ff34f93a6929b9fd0da62c160fd13275",
     "clf/metrics.json": "491c4d0fdf54dfa14c9cda969ed9fd5f708d1018fb382b642720c369c39abeef",
     "clf/metrics.csv": "0d94410570bcb72e0259665e6e9d3a2da1dd2e41dcda540b11dde895a5c6002f",
     "clf/scores.csv": "1558c33c440dc537f26ef002eb1b06063062a80457c1918e41c92bdc4677d0ef",
     "mlp_oc/checkpoint.json": "f4c8ef10caf12c346f9021448f9ab7e6ebd864ed233453db69574e7f07b50958",
-    "mlp_oc/history.json": "4d1f9e065700fe3fc37d1ba57ecaf9a401cddad725a62364da1a739603e37087",
+    "mlp_oc/history.json": "aeacecdead6ae1d1135e70f959573832330dd8e8221fa3dfefdb59d7ef22408e",
     "mlp_oc/metrics.json": "bac5d671a972e9a2cf4f4c89b66acb2be9ef66e3a7d33d70eb30a1a72ce1b9d7",
     "mlp_oc/metrics.csv": "8602f5a2a8fa32531fd6101e198dae3e37139af5ecc5f3af6349eeb19e2c3cc4",
     "mlp_oc/scores.csv": "a951845d519ee4ebfdf4467d0ed5af9cd680b767d74cbf32edf173ebdde86b49",

@@ -1,10 +1,12 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flowgnn import serialize, training
 from flowgnn.graphs import build_flow_graph, feature_matrix
+from flowgnn.metrics import weighted_f1
 from flowgnn.model import FlowGraphNetwork
 from flowgnn.nn import Adam
 from flowgnn.synth import SynthSpec, synth_generate
@@ -119,6 +121,93 @@ class TestEarlyStopping:
         assert result.best_val == pytest.approx(max(recorded))
 
 
+def relabel_val(job, supports):
+    """job with its validation rows relabeled, in order, to classes 0, 1, ...
+    of the given supports; a perfect F1 on them may round off 1.0."""
+    y = job.y.copy()
+    y[list(job.split.val)] = np.repeat(np.arange(len(supports)), supports)
+    return replace(job, y=y, num_classes=max(len(supports), job.num_classes))
+
+
+def oc_job(graphs, labels, **cfg):
+    spec = ProtocolSpec(task="unsupervised", variant="oc")
+    job, _ = make_job(spec, quick_config(variant="oc", **cfg),
+                      make_split(spec, labels, 0), graphs, None, labels)
+    return job
+
+
+# validation supports of the small task's 12 validation graphs, and the
+# weighted F1 of a perfect prediction on them
+CEILINGS = {(6, 6): 1.0, (4, 6, 2): 0.9999999999999999, (3, 5, 1, 1, 2): 1.0000000000000002}
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("supports", CEILINGS, ids=["at_1", "below_1", "above_1"])
+    def test_clf_ceiling_is_the_perfect_f1(self, small_task, supports):
+        _, graphs, labels = small_task
+        job = relabel_val(make_clf_job(graphs, labels)[1], supports)
+        model = training.build_model(job.config, job.in_dim, job.num_classes,
+                                     np.random.default_rng(0))
+        assert training._val_ceiling(job, model) == CEILINGS[supports]
+
+    @pytest.mark.parametrize("supports", CEILINGS, ids=["at_1", "below_1", "above_1"])
+    def test_stops_at_the_first_epoch_scoring_the_ceiling(self, small_task, script_val_score,
+                                                          supports):
+        _, graphs, labels = small_task
+        job = relabel_val(make_clf_job(graphs, labels, max_epochs=40)[1], supports)
+        script_val_score(lambda model, epoch: {1: 0.5}.get(epoch, CEILINGS[supports]))
+        result = train(job)
+        assert (result.best_epoch, result.stopped_epoch, result.stop_reason) == \
+               (2, 2, "saturated")
+        assert [rec.val_score for rec in result.history] == [0.5, CEILINGS[supports]]
+
+    @pytest.mark.parametrize("supports", CEILINGS, ids=["at_1", "below_1", "above_1"])
+    @pytest.mark.parametrize("below", [lambda c: 0.99 * c, lambda c: np.nextafter(c, 0.0)],
+                             ids=["0.99x", "one_ulp"])
+    def test_score_below_the_ceiling_does_not_stop(self, small_task, script_val_score,
+                                                   supports, below):
+        _, graphs, labels = small_task
+        job = relabel_val(make_clf_job(graphs, labels, max_epochs=40)[1], supports)
+        best = below(CEILINGS[supports])
+        script_val_score(lambda model, epoch: {1: 0.5, 2: best}.get(epoch, 0.2))
+        result = train(job)
+        assert (result.best_epoch, result.best_val) == (2, best)
+        assert (result.stopped_epoch, result.stop_reason) == (22, "patience")
+
+    @pytest.mark.parametrize("score, stopped, reason", [
+        (1.0, 3, "saturated"), (np.nextafter(1.0, 0.0), 23, "patience"),
+    ])
+    def test_auroc_ceiling_is_one(self, small_task, script_val_score, score, stopped, reason):
+        _, graphs, labels = small_task
+        job = oc_job(graphs, labels, max_epochs=40)
+        script_val_score(lambda model, epoch: {1: 0.2, 2: 0.4, 3: score}.get(epoch, 0.3))
+        result = train(job)
+        assert (result.best_epoch, result.stopped_epoch, result.stop_reason) == \
+               (3, stopped, reason)
+
+    def test_stop_reason_patience(self, small_task, script_val_score):
+        _, graphs, labels = small_task
+        _, job, _ = make_clf_job(graphs, labels, max_epochs=1000)
+        script_val_score(lambda model, epoch: 0.5)
+        result = train(job)
+        assert (result.stopped_epoch, result.stop_reason) == (21, "patience")
+
+    def test_stop_reason_max_epochs(self, small_task, script_val_score):
+        _, graphs, labels = small_task
+        _, job, _ = make_clf_job(graphs, labels, max_epochs=30)
+        script_val_score(lambda model, epoch: epoch / 1000.0)
+        result = train(job)
+        assert (result.stopped_epoch, result.stop_reason) == (30, "max_epochs")
+
+    def test_real_run_stops_at_its_first_perfect_epoch(self, small_task):
+        _, graphs, labels = small_task
+        _, job, _ = make_clf_job(graphs, labels, max_epochs=40)
+        result = train(job)
+        scores = [rec.val_score for rec in result.history]
+        assert result.best_val == 1.0 and result.stop_reason == "saturated"
+        assert scores.index(1.0) + 1 == result.best_epoch == result.stopped_epoch == len(scores)
+
+
 class TestValCriterion:
     @pytest.mark.parametrize("variant, criterion", [
         ("clf", "auroc"), ("clf", "neg_loss"), ("oc", "f1"),
@@ -217,6 +306,46 @@ class TestTrainMemory:
         assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
 
 
+class TestEvaluateMetrics:
+    def test_default_scores_exactly_the_test_split(self, small_task, monkeypatch):
+        _, graphs, labels = small_task
+        _, job, _ = make_clf_job(graphs, labels, max_epochs=3)
+        model = train(job).model
+        judged = []
+        judge = training._judge
+
+        def recorded(model, inputs, job=None, idx=None):
+            judged.append(list(idx))
+            return judge(model, inputs, job, idx)
+
+        monkeypatch.setattr(training, "_judge", recorded)
+        out = evaluate_metrics(job, model)
+        test = list(job.split.test)
+        assert judged == [test]
+        probs = model.predict_proba(job.batch(test))
+        assert out["value"] == weighted_f1(job.y[test], probs.argmax(axis=1))
+
+
+class TestMakeJob:
+    @pytest.mark.parametrize("variant", ["clf", "mlp"])
+    def test_standardizer_fit_on_training_rows_alone(self, small_task, variant):
+        dataset, graphs, labels = small_task
+        spec = ProtocolSpec(task="binary", variant=variant, quota=10, val_fraction=0.2,
+                            feature_set="combined" if variant == "mlp" else None)
+        raw, _ = training.task_data(spec, graphs, dataset)
+        split = make_split(spec, labels, 0)
+        _, standardizer = make_job(spec, quick_config(variant=variant), split, graphs,
+                                   raw, labels)
+        rows = [g.edge_features for g in graphs] if variant == "clf" else raw
+        fit = np.vstack([rows[i] for i in split.train])
+        kept = np.flatnonzero(fit.max(axis=0) - fit.min(axis=0) > 1e-12)
+        assert np.array_equal(standardizer.kept_columns, kept)
+        np.testing.assert_allclose(standardizer.mean, fit[:, kept].mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(standardizer.std, fit[:, kept].std(axis=0), rtol=1e-12)
+        every = np.vstack(list(rows))[:, kept]  # the check can tell a leak
+        assert not np.allclose(standardizer.mean, every.mean(axis=0), rtol=1e-6)
+
+
 class TestGridSearch:
     def test_expand_in_key_order(self):
         cells = expand_grid({"a": [1, 2], "b": ["x", "y"]})
@@ -250,6 +379,17 @@ class TestGridSearch:
         scores = [cell["val_score"] for cell in searched.cells]
         if scores[0] == scores[1]:
             assert searched.best_config.num_hidden == 8
+
+    def test_selects_the_highest_cell_and_the_earliest_on_ties(self, small_task,
+                                                               script_val_score):
+        _, graphs, labels = small_task
+        _, job, _ = make_clf_job(graphs, labels, max_epochs=2)
+        by_width = {4: 0.2, 8: 0.6, 16: 0.6, 32: 0.4}
+        script_val_score(lambda model, epoch: by_width[model.num_hidden])
+        searched = grid_search({"num_hidden": list(by_width)}, job)
+        assert [cell["val_score"] for cell in searched.cells] == list(by_width.values())
+        assert searched.best_config.num_hidden == 8
+        assert searched.best_fit.model.num_hidden == 8
 
     def test_default_grid_sizes_match_tables(self):
         assert len(expand_grid(DEFAULT_GRIDS["clf"])) == 192  # 2*4*2*4*3
