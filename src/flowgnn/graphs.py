@@ -450,22 +450,17 @@ def read_graphs_jsonl(path) -> list[FlowGraph]:
     return graphs
 
 
+_RECORD = {"id": (str, int), "nodes": list, "edges": list, "feature_names": list, "x": list}
+
+
 def _graph_record(rec, first: FlowGraph | None) -> FlowGraph:
     """One graphs.jsonl record as a graph; first is the file's first graph."""
     if not isinstance(rec, dict):
         raise FlowDataError(f"a graph record is a JSON object, not {type(rec).__name__}")
-    missing = [key for key in ("id", "nodes", "edges", "feature_names", "x") if key not in rec]
-    if missing:
-        raise FlowDataError(f"graph {rec.get('id')!r} lacks {', '.join(missing)}")
-    for key, kind, name in (("id", (str, int), "a string or an integer"),
-                            ("nodes", list, "a list"), ("feature_names", list, "a list")):
-        if isinstance(rec[key], bool) or not isinstance(rec[key], kind):
-            raise FlowDataError(f"graph {rec['id']!r}: {key} must be {name}, "
-                                f"not {type(rec[key]).__name__}")
-    raw = rec.get("labels")
+    rec = serialize.checked(rec, _RECORD, "",
+                            lambda message: FlowDataError(f"graph {rec.get('id')!r}: {message}"))
     try:
-        if raw is not None and not isinstance(raw, dict):
-            raise UnknownLabel(f"labels must be an object, not {type(raw).__name__}")
+        raw = serialize.checked(rec.get("labels"), (dict, None), "labels", UnknownLabel)
         labels = None if raw is None else LabelTriple(*map(raw.get, LABEL_LEVELS))
     except UnknownLabel as exc:
         raise UnknownLabel(f"graph {rec['id']!r}: {exc}") from None

@@ -19,7 +19,6 @@ import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -176,20 +175,12 @@ class ColumnSchema:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ColumnSchema":
-        label = raw.get("label") or ()
-        if isinstance(label, str):
-            label = (label,)
-        features = raw.get("features")
-        return cls(
-            src_ip=raw["src_ip"],
-            dst_ip=raw["dst_ip"],
-            src_port=raw.get("src_port"),
-            dst_port=raw.get("dst_port"),
-            flow_id=raw.get("flow_id"),
-            timestamp=raw.get("timestamp"),
-            label=tuple(label),
-            features=None if features is None else tuple(features),
-        )
+        """The manifest's schema entry, once it fits the manifest shape."""
+        label, features = raw.get("label") or (), raw.get("features")
+        return cls(raw["src_ip"], raw["dst_ip"],
+                   *map(raw.get, ("src_port", "dst_port", "flow_id", "timestamp")),
+                   label=(label,) if isinstance(label, str) else tuple(label),
+                   features=None if features is None else tuple(features))
 
     def non_feature_columns(self) -> set[str]:
         cols = {self.src_ip, self.dst_ip}
@@ -308,33 +299,14 @@ def _class_map(values: list[str], declared: list[str] | None, level: str) -> dic
     return {name: i for i, name in enumerate(sorted(set(values)))}
 
 
-_REQUIRED = object()
-
-
-def _is(*kinds):
-    """A test for JSON values of the given types; true and false pass only
-    where bool is one of them."""
-    return lambda v: isinstance(v, kinds) and (bool in kinds or not isinstance(v, bool))
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
-
-
-def _manifest_field(path, record: dict, key: str, ok, rule: str, where: str = "",
-                    default=_REQUIRED):
-    """record[key], or default when the key is absent; a missing required
-    field, or a value that fails ok, raises FlowDataError naming the
-    manifest and the field."""
-    if key not in record:
-        if default is _REQUIRED:
-            raise FlowDataError(f"{path}: {where}{key} is missing")
-        return default
-    value = record[key]
-    if not ok(value):
-        shown = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
-        raise FlowDataError(f"{path}: {where}{key} must be {rule}, not {shown}")
-    return value
+_MANIFEST = {
+    "schema": {"src_ip": str, "dst_ip": str,
+               **dict.fromkeys(("src_port?", "dst_port?", "flow_id?", "timestamp?"), (str, None)),
+               "label?": (str, [str], None), "features?": ([str], None)},
+    "strict?": bool, "min_family_count?": int,
+    "classes?": {f"{level}?": ([str], None) for level in LABEL_LEVELS},
+    "samples": [{"id": (str, int), "file": str}],
+}
 
 
 def load_dataset(manifest_path) -> FlowDataset:
@@ -342,42 +314,24 @@ def load_dataset(manifest_path) -> FlowDataset:
 
     Label strings become contiguous integer indices in lexicographic
     order. Samples whose family has fewer than min_family_count members
-    are dropped before index assignment. Each manifest field is checked
-    as it is read; a bad one raises FlowDataError naming the manifest and
-    the field.
+    are dropped before index assignment. The manifest is checked against
+    _MANIFEST before any flow file is read; a field that does not fit
+    raises FlowDataError naming the manifest and the field.
     """
-    manifest = serialize.load_path(manifest_path)
+    manifest = serialize.load_path(manifest_path, FlowDataError)
     if not isinstance(manifest, dict):
         raise FlowDataError(f"{manifest_path}: a manifest is a JSON object, "
                             f"not {type(manifest).__name__}")
-    check = partial(_manifest_field, manifest_path)
+    manifest = serialize.checked(manifest, _MANIFEST, "",
+                                 lambda message: FlowDataError(f"{manifest_path}: {message}"))
     base_dir = os.path.dirname(os.path.abspath(manifest_path))
-    raw_schema = check(manifest, "schema", _is(dict), "an object")
-    for key in ("src_ip", "dst_ip"):
-        check(raw_schema, key, _is(str), "a string", "schema.")
-    for key in ("src_port", "dst_port", "flow_id", "timestamp"):
-        check(raw_schema, key, _is(str, type(None)), "a string", "schema.", None)
-    check(raw_schema, "label", lambda v: v is None or isinstance(v, str) or _strings(v),
-          "a string or an array of strings", "schema.", None)
-    check(raw_schema, "features", lambda v: v is None or _strings(v), "an array of strings",
-          "schema.", None)
-    schema = ColumnSchema.from_dict(raw_schema)
-    strict = check(manifest, "strict", _is(bool), "true or false", default=True)
-    min_family_count = check(manifest, "min_family_count", _is(int), "an integer", default=9)
-    declared = check(manifest, "classes", _is(dict), "an object", default={})
-    for level in LABEL_LEVELS:
-        check(declared, level, lambda v: v is None or _strings(v), "an array of strings",
-              "classes.", None)
-
-    entries = check(manifest, "samples", _is(list), "an array")
+    schema = ColumnSchema.from_dict(manifest["schema"])
+    strict = manifest.get("strict", True)
+    min_family_count = manifest.get("min_family_count", 9)
+    declared = manifest.get("classes", {})
+    entries = manifest["samples"]
     if not entries:
         raise EmptySample("manifest lists no samples")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FlowDataError(f"{manifest_path}: samples[{i}] must be an object, "
-                                f"not {type(entry).__name__}")
-        check(entry, "id", _is(str, int), "a string or an integer", f"samples[{i}].")
-        check(entry, "file", _is(str), "a string", f"samples[{i}].")
     _check_unique_ids(entry["id"] for entry in entries)
 
     # per entry, the label string of each level it holds

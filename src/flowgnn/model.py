@@ -377,7 +377,7 @@ class Network:
             p.data = values.reshape(p.shape)
         for bn, stored in zip(norms, state["batchnorm"]):
             bn.load_state(stored)
-        center = state["oc_center"]
+        center = state.get("oc_center")
         if center is not None and np.size(center) != self.num_hidden:
             raise ShapeMismatch(f"center has {np.size(center)} entries, not {self.num_hidden}")
         self.center = None if center is None else np.asarray(center, dtype=np.float64).reshape(1, -1)

@@ -112,7 +112,7 @@ class BatchNorm:
         }
 
     def load_state(self, state: dict) -> None:
-        if (state["beta"] is None) != (self.beta is None):
+        if (state.get("beta") is None) != (self.beta is None):
             raise ShapeMismatch("batch norm beta is " + ("missing" if self.beta is not None
                                                          else "stored, but the norm has none"))
         for key, value in state.items():

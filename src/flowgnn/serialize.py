@@ -10,6 +10,10 @@ with more digits by earlier versions load to the same values.
 string of its little-endian float64 bytes instead: exact, half the size of
 the text, and read back without parsing decimals. Checkpoints store their
 arrays that way.
+
+`checked` holds the one rule for reading JSON input: each reader declares
+its format's shape as data, and a value that does not fit is reported as
+`<path> must be <rule>, not <value>` or `<path> is missing`.
 """
 
 from __future__ import annotations
@@ -87,6 +91,74 @@ def dump_path(obj: Any, path) -> None:
         dump(obj, fp)
 
 
-def load_path(path) -> Any:
+def load_path(path, error=ValueError) -> Any:
+    """The JSON value in a file; text that is not UTF-8 JSON raises error
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fp:
-        return json.load(fp)
+        try:
+            return json.load(fp)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise error(f"{path}: not JSON: {exc}") from None
+
+
+FLOATS = object()  # the shape of a float array, as decode_floats reads it
+_RULES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+          float: "a number", bool: "true or false"}
+
+
+def _walk(value, shape, where: str):
+    if shape is FLOATS:
+        try:
+            return decode_floats(value)
+        except ValueError as exc:
+            raise ValueError(f"{where} {exc}") from None
+    if isinstance(shape, tuple):
+        if value is None and None in shape:
+            return None
+        options = [option for option in shape if option is not None]
+        for option in options:
+            try:
+                return _walk(value, option, where)
+            except ValueError:
+                if len(options) == 1:
+                    raise
+    elif isinstance(shape, list) and isinstance(value, list):
+        return [_walk(item, shape[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    elif isinstance(shape, dict) and isinstance(value, dict):
+        out = dict(value)
+        for key, option in shape.items():
+            name = key.rstrip("?")
+            path = f"{where}.{name}" if where else name
+            if name in value:
+                out[name] = _walk(value[name], option, path)
+            elif not key.endswith("?"):
+                raise ValueError(f"{path} is missing")
+        return out
+    elif isinstance(shape, type) and (shape is bool or not isinstance(value, bool)) and \
+            isinstance(value, (int, float) if shape is float else shape):
+        return value
+    shown = type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+    raise ValueError(f"{where or 'the file'} must be {_rule(shape)}, not {shown}")
+
+
+def _rule(shape) -> str:
+    if isinstance(shape, tuple):
+        return " or ".join(_rule(option) for option in shape if option is not None)
+    if isinstance(shape, list):  # "an array of strings"; "an array" of objects or arrays
+        return f"an array of {_RULES[shape[0]].split()[-1]}s" if shape[0] in (str, int, float) \
+            else "an array"
+    return "an object" if isinstance(shape, dict) else _RULES[shape]
+
+
+def checked(value, shape, where: str, error):
+    """value with every FLOATS field decoded, once it fits shape: a JSON
+    type (true and false only for bool; a float may be an integer); FLOATS;
+    a tuple of alternatives, where None admits null; [shape], an array of
+    such values; or {key: shape}, an object whose "key?" entries may be
+    absent and whose unlisted keys pass as they are. A misfit raises
+    error("<path> must be <rule>, not <value>") or error("<path> is
+    missing"), the path starting below where."""
+    try:
+        return _walk(value, shape, where)
+    except ValueError as exc:
+        raise error(str(exc)) from None

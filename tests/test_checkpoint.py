@@ -219,9 +219,9 @@ class TestCheckpointFileChecked:
     line naming the file and the field, before any data is read."""
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda raw: raw.update(params=5), "params must be an array, not an integer"),
+        (lambda raw: raw.update(params=5), "params must be an array, not 5"),
         (with_null_weight, "params[0].values is neither base64 text nor a list of numbers"),
-        (lambda raw: raw.pop("config"), "lacks config"),
+        (lambda raw: raw.pop("config"), "config is missing"),
         (short_mean, "preprocess.mean has 5 values, not one per kept column (6)"),
         (lambda raw: set_param(raw, 1, "not*base64"), "params[1].values is not base64 text"),
         (lambda raw: set_param(raw, 1, base64.b64encode(bytes(12)).decode()),

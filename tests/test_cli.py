@@ -429,7 +429,7 @@ class TestBadManifest:
     in one line naming the manifest and the field."""
 
     @pytest.mark.parametrize("edit, message", [
-        (_set("samples", [1, 2]), "samples[0] must be an object, not int"),
+        (_set("samples", [1, 2]), "samples[0] must be an object, not 1"),
         (_set("samples", {"s0": {}}), "samples must be an array, not dict"),
         (_set_in_first_sample("file", 5), "samples[0].file must be a string, not 5"),
         (_set_in_first_sample("id", ["s0"]),

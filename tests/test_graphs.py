@@ -568,7 +568,7 @@ class TestGraphJsonl:
         (lambda rec: rec["labels"].__setitem__("family", -1), "family label -1"),
         (lambda rec: rec["labels"].pop("category"), "category label None"),
         (lambda rec: rec.__setitem__("labels", [1, 0]), "labels must be an object, not list"),
-        (lambda rec: rec.__setitem__("labels", "benign"), "labels must be an object, not str"),
+        (lambda rec: rec.__setitem__("labels", "benign"), "labels must be an object, not 'benign'"),
     ], ids=["negative_index", "index_past_nodes", "short_x", "ragged_row", "narrow_x",
             "short_names", "binary_2", "binary_fraction", "negative_family", "no_category",
             "labels_list", "labels_string"])
@@ -585,7 +585,7 @@ class TestGraphJsonl:
         (lambda line: line[:20], "not JSON"),
         (lambda line: "[1, 2]", "a graph record is a JSON object, not list"),
         (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "nodes"}),
-         "graph 'bad' lacks nodes"),
+         "graph 'bad': nodes is missing"),
         (lambda line: json.dumps({**json.loads(line), "edges": [[0]]}),
          "graph 'bad': edges must be [source, target] index pairs"),
     ], ids=["invalid_json", "json_array", "no_nodes", "edge_not_pair"])
@@ -598,8 +598,8 @@ class TestGraphJsonl:
             read_graphs_jsonl(path)
 
     @pytest.mark.parametrize("key, value, message", [
-        ("nodes", 3, "graph 'bad': nodes must be a list, not int"),
-        ("feature_names", 4, "graph 'bad': feature_names must be a list, not int"),
+        ("nodes", 3, "graph 'bad': nodes must be an array, not 3"),
+        ("feature_names", 4, "graph 'bad': feature_names must be an array, not 4"),
         ("id", ["bad"], "graph ['bad']: id must be a string or an integer, not list"),
     ], ids=["nodes_number", "feature_names_number", "id_list"])
     def test_field_type_named_by_file_and_line(self, tmp_path, key, value, message):
