@@ -90,9 +90,9 @@ def _load_config(args) -> dict:
         raise UsageError("--config is required for this command")
     if not os.path.exists(args.config):
         raise UsageError(f"config file not found: {args.config}")
-    config = serialize.load_path(args.config)
+    config = serialize.load_path(args.config, UsageError)
     if not isinstance(config, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise UsageError(f"{args.config}: a config is a JSON object, not {type(config).__name__}")
     return _apply_overrides(config, args.set or [])
 
 
@@ -147,8 +147,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args)
-    spec = SynthSpec.from_dict(config)
+    try:
+        spec = SynthSpec.from_dict(_load_config(args))
+    except ValueError as exc:
+        raise UsageError(f"{args.config}: {exc}") from None
     dataset = synth_generate(spec, seed=args.seed)
     out_dir = args.out or "."
     save_dataset(dataset, out_dir)
@@ -157,13 +159,9 @@ def cmd_synth(args) -> int:
 
 
 def _protocol_from_config(config: dict) -> ProtocolSpec:
-    task = config.get("task")
-    variant = config.get("variant")
-    if task is None or variant is None:
-        raise UsageError("config needs 'task' and 'variant'")
-    split = config.get("split", {})
     try:
-        return ProtocolSpec(task, variant, config.get("feature_set"), **split)
+        return ProtocolSpec(config.get("task"), config.get("variant"), config.get("feature_set"),
+                            **config.get("split", {}))
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -200,13 +198,20 @@ def _run_info(spec: ProtocolSpec, seed: int, data: str) -> dict:
             "split": split}
 
 
+_RUN_CONFIG = {"data": str, "task": str, "variant": str, "feature_set?": (str, None),
+               "split?": {"quota?": (int, None), "val_fraction?": (float, None),
+                          "train_fraction?": float, "unsup_val_fraction?": float},
+               "train?": dict}
+_GRID_CONFIG = {**_RUN_CONFIG, "grid?": ({f"{key}?": list for key in TrainConfig().to_dict()},
+                                         None)}
+
+
 def cmd_train(args, gridsearch: bool = False) -> int:
     """Fit every cell of the grid (gridsearch) or of the one-cell grid, the
     train block alone (train). The train config and every grid cell are
     checked before any data loads."""
-    config = _load_config(args)
-    if "data" not in config:
-        raise UsageError("config needs 'data' (graphs.jsonl or dataset manifest)")
+    config = serialize.checked(_load_config(args), _GRID_CONFIG if gridsearch else _RUN_CONFIG, "",
+                               lambda message: UsageError(f"{args.config}: {message}"))
     spec = _protocol_from_config(config)
     grid = (config.get("grid") or DEFAULT_GRIDS[spec.variant]) if gridsearch else {}
     try:

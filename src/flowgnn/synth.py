@@ -11,10 +11,11 @@ statistically indistinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import serialize
 from .ingest import FlowDataset, FlowTable, LabelTriple, SampleFlows
 
 
@@ -43,6 +44,9 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthSpec":
+        """A spec from its JSON fields; a field of the wrong type or an
+        unknown key raises ValueError naming it."""
+        raw = serialize.checked(raw, _SHAPE, "", ValueError)
         known = {f.name for f in cls.__dataclass_fields__.values()}
         kwargs = {k: v for k, v in raw.items() if k in known}
         for key in ("class_sizes", "class_names"):
@@ -52,6 +56,12 @@ class SynthSpec:
         if unknown:
             raise ValueError(f"unknown synth spec keys: {sorted(unknown)}")
         return cls(**kwargs)
+
+
+# every field may be left out; its annotation gives its JSON shape
+_SHAPES = {"int": int, "float": float, "bool": bool, "tuple[int, ...]": [int],
+           "tuple[str, ...] | None": ([str], None)}
+_SHAPE = {f"{field.name}?": _SHAPES[field.type] for field in fields(SynthSpec)}
 
 
 def _class_mean(cls_index: int, spec: SynthSpec) -> np.ndarray:

@@ -213,6 +213,70 @@ class TestBadTrainConfig:
         assert len(err) == 1 and err[0].endswith(message), err
 
 
+class TestBadConfigFile:
+    """A run config or synth spec that does not fit its shape, checked after
+    --set, exits 2 with one line naming the config file and the field,
+    before any data loads."""
+
+    @pytest.mark.parametrize("command, edit, message", [
+        ("train", {"data": ["x"]}, "data must be a string, not list"),
+        ("train", {"data": 3}, "data must be a string, not 3"),
+        ("train", {"data": None}, "data is missing"),
+        ("gridsearch", {"grid": [1, 2]}, "grid must be an object, not list"),
+        ("gridsearch", {"grid": {"num_hidden": 8}}, "grid.num_hidden must be an array, not 8"),
+        ("train", {"variant": ["clf"]}, "variant must be a string, not list"),
+        ("train", {"task": None}, "task is missing"),
+        ("train", {"train": [1]}, "train must be an object, not list"),
+        ("train", {"split": {"quota": "10"}}, "split.quota must be an integer, not '10'"),
+    ], ids=["data_list", "data_number", "no_data", "grid_list", "grid_cell_number",
+            "variant_list", "no_task", "train_list", "quota_string"])
+    def test_run_config_exit_2(self, workspace, tmp_path, capsys, monkeypatch, command, edit,
+                               message):
+        monkeypatch.setattr(cli, "_load_graph_data", lambda path: pytest.fail("data loaded"))
+        root, _, out_dir = workspace
+        config = {**json.loads(train_config(root, out_dir).read_text()), **edit}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"{path}: {message}"), err
+
+    def test_set_value_checked(self, workspace, tmp_path, capsys):
+        root, _, out_dir = workspace
+        config = train_config(root, out_dir)
+        assert main(["train", "--config", str(config), "--set", "data=5",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"{config}: data must be a string, not 5"), err
+
+    @pytest.mark.parametrize("command, text", [
+        ("train", '{"data": "graphs.jsonl", "task": '),
+        ("synth", '{"class_sizes": [3,'),
+    ], ids=["run_config", "synth_spec"])
+    def test_truncated_config_exit_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{path}: not JSON: " in err[0], err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"class_sizes": 5}, "class_sizes must be an array of integers, not 5"),
+        ({"class_sizes": [3, 3], "class_names": 3},
+         "class_names must be an array of strings, not 3"),
+        ({"class_sizes": [3, True]}, "class_sizes[1] must be an integer, not True"),
+        ({"delta": "4"}, "delta must be a number, not '4'"),
+        ({"class_sizes": [3, 3], "colour": 1}, "unknown synth spec keys: ['colour']"),
+    ], ids=["sizes_number", "names_number", "size_bool", "delta_string", "unknown_key"])
+    def test_synth_spec_exit_2(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(spec))
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"{path}: {message}"), err
+        assert not (tmp_path / "o").exists()
+
+
 class TestGridSearch:
     def test_grid_of_one_matches_train(self, workspace, tmp_path):
         root, _, out_dir = workspace
@@ -451,6 +515,15 @@ class TestBadManifest:
         lines = err.splitlines()
         assert len(lines) == 1 and "Traceback" not in err, err
         assert f"FlowDataError: {path}: {message}" in lines[0], lines[0]
+
+    def test_truncated_manifest_exit_1(self, workspace, tmp_path, capsys):
+        _, data_dir, _ = workspace
+        path = tmp_path / "manifest.json"
+        path.write_text((data_dir / "manifest.json").read_text()[:40])
+        assert main(["extract", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"FlowDataError: {path}: not JSON: " in err[0], err
+
 
 def test_narrow_feature_rows_train_exit_1(workspace, tmp_path, capsys):
     root, _, out_dir = workspace
