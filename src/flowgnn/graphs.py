@@ -446,7 +446,7 @@ def read_graphs_jsonl(path) -> list[FlowGraph]:
                 raise FlowDataError(f"{path}: line {line_num}: not JSON: {exc}") from None
             except FlowDataError as exc:
                 raise type(exc)(f"{path}: line {line_num}: {exc}") from None
-    _check_unique_ids(g.sample_id for g in graphs)
+    _check_unique_ids((g.sample_id for g in graphs), f"{path}: ")
     return graphs
 
 

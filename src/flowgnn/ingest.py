@@ -129,13 +129,14 @@ class SampleFlows:
             raise EmptySample(f"sample {self.sample_id!r} has no flows")
 
 
-def _check_unique_ids(ids) -> None:
-    """Samples are matched by id (feature sets, saved flow files)."""
+def _check_unique_ids(ids, source: str = "") -> None:
+    """Samples are matched by the text of their id (feature sets, saved flow
+    files), so the ids 1 and "1" are one id; source prefixes the error."""
     seen: set = set()
     for sid in ids:
-        if sid in seen:
-            raise FlowDataError(f"sample id {sid!r} appears more than once")
-        seen.add(sid)
+        if str(sid) in seen:
+            raise FlowDataError(f"{source}sample id {sid!r} appears more than once")
+        seen.add(str(sid))
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ def load_dataset(manifest_path) -> FlowDataset:
     entries = manifest["samples"]
     if not entries:
         raise EmptySample("manifest lists no samples")
-    _check_unique_ids(entry["id"] for entry in entries)
+    _check_unique_ids((entry["id"] for entry in entries), f"{manifest_path}: ")
 
     # per entry, the label string of each level it holds
     raw_labels: list[dict[str, str]] = []

@@ -618,6 +618,13 @@ class TestGraphJsonl:
         with pytest.raises(FlowDataError, match="sample id 'a' appears more than once"):
             read_graphs_jsonl(path)
 
+    def test_ids_equal_as_text_rejected(self, tmp_path):
+        path = tmp_path / "graphs.jsonl"
+        write_graphs_jsonl([make_graph([(0, 1)], gid=gid) for gid in (1, "1")], path)
+        with pytest.raises(FlowDataError,
+                           match=re.escape(f"{path}: sample id '1' appears more than once")):
+            read_graphs_jsonl(path)
+
     def test_mixed_feature_widths_rejected(self, tmp_path):
         path = tmp_path / "graphs.jsonl"
         write_graphs_jsonl([make_graph([(0, 1)], gid="four"),

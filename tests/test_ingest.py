@@ -318,6 +318,16 @@ class TestLoadDataset:
         with pytest.raises(FlowDataError, match="sample id 's' appears more than once"):
             FlowDataset((sample, replace(sample, labels=LabelTriple(0, 0))), ("f0",))
 
+    def test_ids_equal_as_text_rejected(self, tmp_path):
+        # save_dataset would write both samples to flows/1.csv, and a reload
+        # of its manifest would then read one sample's flows twice
+        entries = [{"id": sid, "file": name, "labels": {"binary": "benign", "category": "benign"}}
+                   for sid, name in ((1, "a.csv"), ("1", "b.csv"))]
+        path = write_manifest(tmp_path, entries, min_family_count=0)
+        with pytest.raises(FlowDataError,
+                           match=re.escape(f"{path}: sample id '1' appears more than once")):
+            load_dataset(path)
+
     @pytest.mark.parametrize("strict", ["false", 0, None])
     def test_strict_must_be_a_json_boolean(self, tmp_path, strict):
         # the string "false" read as strict before: bool("false") is True
