@@ -327,7 +327,10 @@ def expand_grid(grid: dict[str, list]) -> list[dict]:
 
 def grid_configs(grid: dict[str, list], base: TrainConfig) -> list[TrainConfig]:
     """base with each grid cell's overrides, in expand_grid order; a bad
-    cell raises ValueError."""
+    cell, or a key that lists no values, raises ValueError."""
+    for key, values in grid.items():
+        if not values:
+            raise ValueError(f"grid.{key} lists no values")
     return [TrainConfig.from_dict({**base.to_dict(), **cell}) for cell in expand_grid(grid)]
 
 

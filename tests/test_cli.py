@@ -201,7 +201,8 @@ class TestBadTrainConfig:
         ({"num_hidden": [8, 0]}, "num_hidden must be an integer of at least 1, got 0"),
         ({"dropout": [0.0, 1.0]}, "dropout must be a number in [0, 1), got 1.0"),
         ({"pool": ["mean", "sum"]}, "pool must be one of ('mean', 'add', 'max'), got 'sum'"),
-    ], ids=["num_hidden_0", "dropout_1", "pool_sum"])
+        ({"num_hidden": []}, "grid.num_hidden lists no values"),
+    ], ids=["num_hidden_0", "dropout_1", "pool_sum", "num_hidden_empty"])
     def test_gridsearch_bad_cell_exit_2(self, workspace, tmp_path, capsys, no_data_load,
                                         grid, message):
         root, _, out_dir = workspace
